@@ -11,15 +11,21 @@
 * ``serve_obs_overhead`` — the same job-only stream with tracing+metrics
   enabled vs disabled; the assert enforces the documented <=2% budget.
 * ``serve_net_loopback`` — two real cluster shards through the socket
-  control plane's loopback load generator at 1 vs 2 workers; on a
-  multi-core host the 2-worker run must reach >= 1.7x the 1-worker
-  events/s (the assert is gated on ``os.cpu_count() >= 2`` — a 1-core
-  container serializes the workers and only reports the line).
+  control plane's loopback load generator at 1 vs 2 workers.  The gate
+  follows the cores left beside the single-threaded router: with two
+  spare cores the 2-worker run must reach >= 1.7x the 1-worker
+  events/s; with one, it must not be slower beyond the measured A/A
+  noise; with none (1 core) the line is only reported.
 * ``serve_net_overhead`` — the same shards via the socket router vs the
   direct fork-pool dispatch; the router's wall overhead must stay
   within 10% plus the host's measured A/A noise floor.
+
+The three A/B benches (obs overhead, loopback scaling, router overhead)
+share one harness: adjacent pairs of arms (alternating which runs
+first), a paired median, and an A/A noise floor from the same runs.
 """
 
+import gc
 import json
 import os
 import statistics
@@ -156,23 +162,53 @@ def test_mixed_stream_with_ces(qssf_history, capsys):
     assert report.ces_latency.p99_ms < 100.0
 
 
+def _paired_walls(base, other, pairs: int):
+    """Wall times of ``pairs`` adjacent (base, other) runs, alternating
+    which arm goes first so a drift in host speed hits both equally.
+    Each arm is run once first, untimed, to warm caches.
+
+    The heap the test session has built up is frozen for the duration:
+    a full collection over it inside a timed arm would bill that arm
+    for objects a fresh ``python -m repro.serve`` process does not
+    have."""
+    gc.collect()
+    gc.freeze()
+    try:
+        base()
+        other()
+        bases, others = [], []
+        for i in range(pairs):
+            order = ((bases, base), (others, other))
+            for walls, arm in order if i % 2 == 0 else order[::-1]:
+                walls.append(arm())
+    finally:
+        gc.unfreeze()
+    return bases, others
+
+
+def _aa_noise(walls) -> float:
+    """Same-config run-to-run noise: median relative change between
+    consecutive runs of one arm."""
+    return statistics.median(
+        abs(walls[i + 1] / walls[i] - 1.0) for i in range(len(walls) - 1)
+    )
+
+
 def test_obs_overhead_within_budget(qssf_history, capsys):
     """Serving with obs enabled must stay within 2% of obs-off wall time.
 
     Shared CI containers show 5-10% run-to-run wall noise on identical
     work, so a naive A/B of two runs cannot resolve a 2% budget.  The
-    harness therefore (a) runs the arms as adjacent pairs and takes the
-    median paired ratio — adjacent runs see the same load/frequency
-    drift, and the median sheds contention spikes — and (b) runs an A/A
-    control (off vs the next round's off) to measure the host's own
-    same-config noise.  The budget is enforced to within that measured
-    resolution: on a quiet machine the tolerance collapses to ~2%; on a
-    noisy one the BENCH line still reports both numbers so regressions
-    show up in the history even when the assert must stay lenient.
+    harness (:func:`_paired_walls`) therefore (a) runs the arms as
+    adjacent pairs and takes the median paired ratio — adjacent runs see
+    the same load/frequency drift, and the median sheds contention
+    spikes — and (b) runs an A/A control (off vs the next round's off)
+    to measure the host's own same-config noise.  The budget is
+    enforced to within that measured resolution: on a quiet machine the
+    tolerance collapses to ~2%; on a noisy one the BENCH line still
+    reports both numbers so regressions show up in the history even
+    when the assert must stay lenient.
     """
-    import gc
-    import statistics
-
     day = 86_400.0
     window = _make_trace(2_000, 5 * day, day, seed=4)
     pairs = 20
@@ -195,12 +231,9 @@ def test_obs_overhead_within_budget(qssf_history, capsys):
         return wall
 
     try:
-        once(False)  # warm caches outside the timed comparison
-        once(True)
-        offs, ons = [], []
-        for _ in range(pairs):
-            offs.append(once(False))
-            ons.append(once(True))
+        offs, ons = _paired_walls(
+            lambda: once(False), lambda: once(True), pairs
+        )
     finally:
         obs.reset()
         obs.disable()
@@ -208,9 +241,7 @@ def test_obs_overhead_within_budget(qssf_history, capsys):
     overhead = statistics.median(
         on / off - 1.0 for off, on in zip(offs, ons)
     )
-    noise = statistics.median(
-        abs(offs[i + 1] / offs[i] - 1.0) for i in range(pairs - 1)
-    )
+    noise = _aa_noise(offs)
     _bench_line(
         {
             "bench": "serve_obs_overhead",
@@ -231,10 +262,12 @@ def test_obs_overhead_within_budget(qssf_history, capsys):
     )
 
 
-#: shard scenario for the control-plane benches: small enough that a
-#: worker's model fit stays a fraction of the streamed window
+#: shard scenario for the control-plane benches: long enough (~2 s an
+#: arm) that forking and worker model fits do not dominate the arm
 _NET_CLUSTERS = ("Venus", "Earth")
-_NET_TASK = dict(history_days=14, stream_days=2.0, max_jobs=800)
+_NET_TASK = dict(history_days=14, stream_days=6.0, max_jobs=4_000)
+#: adjacent arm pairs per control-plane bench
+_NET_PAIRS = 5
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
@@ -253,39 +286,58 @@ def _net_arm(workers: int, queue_bound: int = 32):
     return sum(r.events for r in reports) / wall, wall, stats
 
 
+def _spare_cores() -> int:
+    """Cores left for shard workers beside the single-threaded router."""
+    return (os.cpu_count() or 1) - 1
+
+
 @needs_fork
 def test_net_loopback_scaling(capsys):
-    """Loopback load generator: 2 workers must beat 1 by >= 1.7x on a
-    multi-core host (each shard hashes to its own worker, so the two
-    streams serve concurrently; the router stays a single thread)."""
+    """Loopback load generator: 2 workers vs 1.  Each shard hashes to
+    its own worker, so the two streams serve concurrently — given a
+    core each beside the single-threaded router."""
     from repro.experiments import common
 
     for c in _NET_CLUSTERS:
         common.cluster_gpu_trace(c)  # warm outside the timed arms
 
-    eps1, wall1, _ = _net_arm(workers=1)
-    eps2, wall2, stats2 = _net_arm(workers=2)
-    scale = eps2 / eps1
+    depths = []
+
+    def arm(workers):
+        def run() -> float:
+            _, wall, stats = _net_arm(workers=workers)
+            depths.append(stats.max_queue_depth)
+            return wall
+        return run
+
+    walls1, walls2 = _paired_walls(arm(1), arm(2), _NET_PAIRS)
+    scale = statistics.median(w1 / w2 for w1, w2 in zip(walls1, walls2))
+    noise = _aa_noise(walls1)
     cores = os.cpu_count() or 1
+    spare = _spare_cores()
     _bench_line(
         {
             "bench": "serve_net_loopback",
-            "events_per_s_1w": round(eps1, 1),
-            "events_per_s_2w": round(eps2, 1),
-            "wall_1w_s": round(wall1, 4),
-            "wall_2w_s": round(wall2, 4),
+            "wall_1w_s": round(statistics.median(walls1), 4),
+            "wall_2w_s": round(statistics.median(walls2), 4),
             "scale": round(scale, 3),
+            "aa_noise_pct": round(noise * 100.0, 2),
             "cores": cores,
-            "max_queue_depth": stats2.max_queue_depth,
+            "max_queue_depth": max(depths),
         },
         capsys,
     )
     # The backpressure contract holds at any worker count.
-    assert stats2.max_queue_depth <= 32
-    if cores >= 2:
+    assert max(depths) <= 32
+    if spare >= 2:
         assert scale >= 1.7, (
             f"2-worker loopback throughput only {scale:.2f}x the 1-worker "
             f"run on a {cores}-core host (>= 1.7x required)"
+        )
+    elif spare == 1:
+        assert scale >= 1.0 - noise, (
+            f"2 workers ran {1 / scale - 1:+.1%} slower than 1 on a "
+            f"{cores}-core host, beyond the measured A/A noise ({noise:.1%})"
         )
 
 
@@ -300,8 +352,7 @@ def test_net_router_overhead(capsys):
     The 10% budget presumes the router's serialization overlaps with
     worker compute.  On a single-core host nothing overlaps — every
     pickle and syscall is additive on the one critical path — so the
-    budget relaxes to 20% there (same reasoning as the cores gate on
-    the scaling assert above); the hard ceiling applies regardless.
+    budget relaxes to 20% there; the hard ceiling applies regardless.
     """
     from repro.experiments import common
     from repro.experiments.serving import smoke_serve_config
@@ -320,20 +371,11 @@ def test_net_router_overhead(capsys):
     def routed() -> float:
         return _net_arm(workers=2)[1]
 
-    pairs = 3
-    direct()  # warm both dispatch paths outside the timed comparison
-    routed()
-    directs, routeds = [], []
-    for _ in range(pairs):
-        directs.append(direct())
-        routeds.append(routed())
-
+    directs, routeds = _paired_walls(direct, routed, _NET_PAIRS)
     overhead = statistics.median(
         net / base - 1.0 for base, net in zip(directs, routeds)
     )
-    noise = statistics.median(
-        abs(directs[i + 1] / directs[i] - 1.0) for i in range(pairs - 1)
-    )
+    noise = _aa_noise(directs)
     _bench_line(
         {
             "bench": "serve_net_overhead",

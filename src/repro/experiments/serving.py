@@ -44,7 +44,7 @@ SERVE_SMOKE_MAX_JOBS = 1_200
 #: shards streamed from a live simulator replay
 SERVE_REPLAY_CLUSTERS = ("Venus",)
 
-#: chaos exhibit: one supervised shard, SIGKILLed mid-stream and resumed
+#: chaos exhibit: one routed shard, SIGKILLed mid-stream and resumed
 SERVE_CHAOS_CLUSTERS = ("Venus",)
 SERVE_CHAOS_KILL_BATCH = 130
 SERVE_CHAOS_CHECKPOINT_EVERY = 50
@@ -136,16 +136,21 @@ def exp_serve_chaos() -> dict:
     """Kill a serving shard mid-stream; prove crash-recovery parity.
 
     The baseline serves one shard fault-free.  The chaos run serves the
-    *same* shard under supervision with a deterministic
-    :class:`~repro.framework.faults.FaultPlan` that SIGKILLs the worker
-    at micro-batch 130 (between the second and third checkpoints); the
-    supervisor restarts it, the new attempt resumes from the last
-    checkpoint, and the exhibit asserts the recovered report's parity
-    surface is byte-identical to the baseline's.  Every field in the
-    payload is deterministic, so this exhibit carries a golden.
+    *same* shard through the serve-net router on a one-worker pool with
+    a deterministic :class:`~repro.framework.faults.FaultPlan` that
+    SIGKILLs the worker at micro-batch 130 (between the second and
+    third checkpoints); the router respawns it, the new attempt resumes
+    from the last checkpoint, and the exhibit asserts the recovered
+    report's parity surface is byte-identical to the baseline's.  Every
+    field in the payload is deterministic, so this exhibit carries a
+    golden.
+
+    Needs ``os.fork``: without it the router serves the shard
+    in-process, the crash has no worker to kill, and the payload logs
+    one ``ok`` attempt with no retries — not the golden's.
     """
-    from ..framework import FaultPlan, FaultSpec, Supervision, SupervisionLog
-    from ..serve import serve_clusters
+    from ..framework import FaultPlan, FaultSpec, SupervisionLog
+    from ..serve import NetConfig, serve_clusters, serve_clusters_net
 
     shard_kwargs = dict(
         config=smoke_serve_config(),
@@ -163,19 +168,16 @@ def exp_serve_chaos() -> dict:
         ),
     )
     log = SupervisionLog()
-    recovered = serve_clusters(
+    (recovered,), _ = serve_clusters_net(
         SERVE_CHAOS_CLUSTERS,
-        jobs=1,
         **shard_kwargs,
-        supervised=True,
-        supervision=Supervision(
-            timeout_s=600.0, max_retries=2,
-            backoff_base_s=0.01, backoff_cap_s=0.05,
-        ),
-        fault_plan=plan,
         checkpoint_every=SERVE_CHAOS_CHECKPOINT_EVERY,
+        fault_plan=plan,
+        net=NetConfig(
+            workers=1, max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.05,
+        ),
         log=log,
-    )[0]
+    )
 
     parity = recovered.parity_bytes() == baseline.parity_bytes()
     if not parity:

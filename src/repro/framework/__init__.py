@@ -5,7 +5,6 @@ from .faults import (
     ALL_FAULT_KINDS,
     FAULT_KINDS,
     NET_FAULT_KINDS,
-    CorruptPayload,
     FaultPlan,
     FaultSpec,
     TransientWorkerFault,
@@ -24,22 +23,13 @@ from .parallel import (
 )
 from .plugins import CESNodeService, PassthroughQueueService, QSSFService
 from .service import PredictionService
-from .supervise import (
-    HeartbeatMonitor,
-    Supervision,
-    SupervisionLog,
-    WorkerContext,
-    WorkerFailure,
-    backoff_delay,
-    run_supervised,
-)
+from .supervise import HeartbeatMonitor, SupervisionLog, WorkerContext, backoff_delay
 
 __all__ = [
     "ALL_FAULT_KINDS",
     "FAULT_KINDS",
     "NET_FAULT_KINDS",
     "CESNodeService",
-    "CorruptPayload",
     "FaultPlan",
     "FaultSpec",
     "HeartbeatMonitor",
@@ -48,13 +38,11 @@ __all__ = [
     "PredictionService",
     "QSSFService",
     "ResourceOrchestrator",
-    "Supervision",
     "SupervisionLog",
     "TransientWorkerFault",
     "UpdatePolicy",
     "WorkerContext",
     "WorkerError",
-    "WorkerFailure",
     "backoff_delay",
     "clear_fault_plan",
     "effective_jobs",
@@ -63,6 +51,5 @@ __all__ = [
     "installed_fault_plan",
     "map_threaded",
     "run_forked",
-    "run_supervised",
     "stable_seed",
 ]

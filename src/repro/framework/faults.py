@@ -13,16 +13,13 @@ the property the crash-recovery parity suite relies on.
 Fault kinds:
 
 * ``crash``      — the worker process SIGKILLs itself (no cleanup, no
-  goodbye message): the supervisor sees a silent death.
-* ``hang``       — the worker stalls (heartbeats stop) until the
-  supervisor's timeout kills it.
+  goodbye message): the router sees its link hang up.
+* ``hang``       — the worker stalls (acks and pongs stop) until the
+  router's RPC deadline or heartbeat timeout takes its link down.
 * ``slow_start`` — the worker sleeps ``delay_s`` before doing work;
   exercises timeout headroom without failing.
-* ``corrupt``    — the worker's result is wrapped in
-  :class:`CorruptPayload`; the supervisor treats it as a failed
-  attempt.
-* ``exception``  — the worker raises :class:`TransientWorkerFault`, a
-  retryable error with a full remote traceback.
+* ``exception``  — the worker raises :class:`TransientWorkerFault`,
+  which ends the worker process: the router sees a hangup.
 
 Network fault kinds (:data:`NET_FAULT_KINDS`) are injected at the
 serving control plane's *framing* layer (:mod:`repro.serve.net.framing`)
@@ -56,7 +53,6 @@ __all__ = [
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
     "NET_FAULT_KINDS",
-    "CorruptPayload",
     "FaultPlan",
     "FaultSpec",
     "TransientWorkerFault",
@@ -65,8 +61,8 @@ __all__ = [
     "installed_fault_plan",
 ]
 
-#: process-level kinds, fired inside a supervised worker
-FAULT_KINDS = ("crash", "hang", "slow_start", "corrupt", "exception")
+#: process-level kinds, fired inside a serving worker process
+FAULT_KINDS = ("crash", "hang", "slow_start", "exception")
 #: network-level kinds, fired at the serve-net framing layer
 NET_FAULT_KINDS = ("drop", "delay", "duplicate", "partition")
 ALL_FAULT_KINDS = FAULT_KINDS + NET_FAULT_KINDS
@@ -77,13 +73,6 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 class TransientWorkerFault(RuntimeError):
     """The injected retryable exception (``kind="exception"``)."""
-
-
-@dataclass(frozen=True)
-class CorruptPayload:
-    """Marker wrapping a worker result that was corrupted in flight."""
-
-    payload: object = None
 
 
 @dataclass(frozen=True)

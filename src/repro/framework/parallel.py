@@ -40,12 +40,11 @@ __all__ = [
 
 
 class WorkerError(RuntimeError):
-    """A forked/supervised worker failed.
+    """A forked worker failed.
 
-    Carries the failing item's repr (``item``), the worker-side
-    traceback (``remote_traceback``), and how many attempts were made
-    (``attempts``; always 1 for :func:`run_forked`), so the caller sees
-    *which* item broke and *where* — not a context-free pool exception.
+    Carries the failing item's repr (``item``) and the worker-side
+    traceback (``remote_traceback``), so the caller sees *which* item
+    broke and *where* — not a context-free pool exception.
     """
 
     def __init__(
@@ -54,12 +53,10 @@ class WorkerError(RuntimeError):
         *,
         item: str | None = None,
         remote_traceback: str | None = None,
-        attempts: int = 1,
     ) -> None:
         super().__init__(message)
         self.item = item
         self.remote_traceback = remote_traceback
-        self.attempts = attempts
 
 
 def stable_seed(name: str, salt: int = 0) -> int:

@@ -1,90 +1,38 @@
-"""Supervised per-item worker pool: heartbeats, timeouts, retries.
+"""Supervision primitives shared by the serving control plane.
 
-:func:`run_supervised` is the fault-tolerant sibling of
-:func:`~repro.framework.parallel.run_forked`.  Instead of a shared
-pool, every item gets its *own* forked worker process supervised over a
-pipe: the supervisor watches heartbeats, enforces wall and heartbeat
-timeouts, retries dead/hung/corrupt attempts with bounded exponential
-backoff (jitter derived from :func:`~repro.framework.parallel.stable_seed`,
-never wall clock), and preserves the remote traceback plus the failing
-item's repr when an attempt errors.  Failures are isolated per item: a
-dead shard never discards its siblings' results.
+The :mod:`repro.serve.net` router is the one fault-tolerant execution
+plane for serving shards: it owns the worker processes, watches them,
+retries stalled RPCs, and respawns or reroutes a dead worker's shards
+from their last checkpoints.  This module holds the pieces that plane
+shares with its workers and clients:
 
-Workers can checkpoint through the :class:`WorkerContext` handed to the
-task function (``with_context=True``): ``ctx.save(state)`` ships the
-snapshot to the supervisor, and a retried attempt finds it again in
-``ctx.checkpoint`` — the mechanism behind the serving layer's
-crash-recovery parity guarantee.
-
-When forking is unavailable (nested inside a daemonic pool worker), the
-supervisor degrades to an in-process loop that *simulates* crash and
-hang faults with retryable control exceptions.  Attempt outcomes, retry
-bookkeeping, and checkpoint flow are identical in both modes, so a
-chaos run produces the same payload and supervision log either way.
+* :func:`backoff_delay` — bounded exponential backoff whose jitter comes
+  from :func:`~repro.framework.parallel.stable_seed`, never the wall
+  clock, so a replayed chaos run waits the identical schedule;
+* :class:`SupervisionLog` — the ordered record of per-attempt outcomes;
+* :class:`HeartbeatMonitor` — liveness from any proof-of-life signal;
+* :class:`WorkerContext` — fires a :class:`~repro.framework.faults.FaultPlan`'s
+  process faults inside a real worker process.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import time
-import traceback
-from collections import deque
-from dataclasses import dataclass
 
-from ..obs import collect as obs
-from .faults import (
-    CorruptPayload,
-    FaultPlan,
-    FaultSpec,
-    TransientWorkerFault,
-    installed_fault_plan,
-)
-from .parallel import WorkerError, effective_jobs, fork_available, stable_seed
+from .faults import FaultSpec, TransientWorkerFault
+from .parallel import stable_seed
 
 __all__ = [
     "HeartbeatMonitor",
-    "Supervision",
     "SupervisionLog",
     "WorkerContext",
-    "WorkerFailure",
     "backoff_delay",
-    "run_supervised",
 ]
 
 
-@dataclass(frozen=True)
-class Supervision:
-    """Supervisor knobs: timeouts, retry budget, backoff shape."""
-
-    #: hard wall-clock budget per attempt (None = unlimited)
-    timeout_s: float | None = 300.0
-    #: max silence between heartbeats before the worker is declared hung
-    #: (None = heartbeats not enforced)
-    heartbeat_timeout_s: float | None = None
-    #: retries after the first attempt (attempt indices 0..max_retries)
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    poll_interval_s: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.heartbeat_timeout_s is not None and self.heartbeat_timeout_s <= 0:
-            raise ValueError(
-                f"heartbeat_timeout_s must be positive, got {self.heartbeat_timeout_s}"
-            )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff parameters must be >= 0")
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-
-
-def backoff_delay(label: str, attempt: int, supervision: Supervision) -> float:
+def backoff_delay(label: str, attempt: int, base_s: float, cap_s: float) -> float:
     """Bounded exponential backoff before retry ``attempt`` (1-based).
 
     Jitter comes from :func:`stable_seed` over (label, attempt), not the
@@ -92,19 +40,17 @@ def backoff_delay(label: str, attempt: int, supervision: Supervision) -> float:
     """
     if attempt <= 0:
         return 0.0
-    base = supervision.backoff_base_s * (2.0 ** (attempt - 1))
+    base = base_s * (2.0 ** (attempt - 1))
     jitter = stable_seed(f"backoff:{label}", attempt) / 2.0**32  # [0, 1)
-    return min(base * (1.0 + jitter), supervision.backoff_cap_s)
+    return min(base * (1.0 + jitter), cap_s)
 
 
 class SupervisionLog:
     """Ordered, deterministic record of attempt outcomes.
 
     Each event is ``(label, attempt, outcome)`` with outcome one of
-    ``ok`` / ``crash`` / ``timeout`` / ``error`` / ``corrupt`` /
-    ``failed`` (retry budget exhausted).  Outcome strings are identical
-    between the forked and in-process supervisors, so a chaos exhibit's
-    log is mode-independent.
+    ``ok`` (the attempt delivered its report), ``crash`` (its worker
+    hung up) or ``timeout`` (a deadline or heartbeat expired).
     """
 
     def __init__(self) -> None:
@@ -112,14 +58,13 @@ class SupervisionLog:
 
     def record(self, label: str, attempt: int, outcome: str) -> None:
         self.events.append((str(label), int(attempt), str(outcome)))
-        obs.counter_add(f"supervise.outcome.{outcome}")
 
     def retries(self, label: str | None = None) -> int:
-        """Failed attempts that were retried (terminal failures excluded)."""
+        """Failed attempts (each one was retried)."""
         return sum(
             1
             for lbl, _, outcome in self.events
-            if outcome not in ("ok", "failed") and (label is None or lbl == label)
+            if outcome != "ok" and (label is None or lbl == label)
         )
 
     def as_dict(self) -> dict:
@@ -129,40 +74,18 @@ class SupervisionLog:
         }
 
 
-@dataclass(frozen=True)
-class WorkerFailure:
-    """Terminal per-item failure left in the result slot (strict=False)."""
-
-    label: str
-    attempts: int
-    outcome: str
-    error: str = ""
-    remote_traceback: str | None = None
-
-
-class _SimulatedCrash(BaseException):
-    """In-process stand-in for a SIGKILLed worker (control flow only)."""
-
-
-class _SimulatedStall(BaseException):
-    """In-process stand-in for a hung worker (control flow only)."""
-
-
 class HeartbeatMonitor:
     """Liveness tracking from any proof-of-life signal.
 
-    The forked supervisor beats it from pipe messages; the serving
-    control plane's router beats it from socket acks and pongs — the
-    policy (gap histogram + timeout check) is identical either way.
-    ``timeout_s=None`` disables expiry (gaps are still recorded).
+    The router beats it from socket acks and pongs; ``timeout_s=None``
+    disables expiry (gaps are still recorded).
     """
 
     __slots__ = ("timeout_s", "last_beat", "hist")
 
-    def __init__(self, timeout_s: float | None = None, *, hist=None,
-                 now: float | None = None) -> None:
+    def __init__(self, timeout_s: float | None = None, *, hist=None) -> None:
         self.timeout_s = timeout_s
-        self.last_beat = time.monotonic() if now is None else now
+        self.last_beat = time.monotonic()
         self.hist = hist
 
     def beat(self, now: float | None = None) -> None:
@@ -179,506 +102,41 @@ class HeartbeatMonitor:
 
 
 class WorkerContext:
-    """Handle given to supervised task functions (``with_context=True``).
+    """Fires one attempt's planned process faults inside a worker.
 
-    * ``label`` / ``attempt`` identify this attempt;
-    * ``checkpoint`` holds the last snapshot a *previous* attempt saved
-      (None on a fresh item);
-    * :meth:`save` ships a new checkpoint to the supervisor — it
-      survives this worker's death;
-    * :meth:`heartbeat` proves liveness;
-    * :meth:`maybe_fault` reports progress (doubling as a heartbeat)
-      and fires any planned fault whose ``at`` index is reached — a plan
-      may stack several faults on one attempt (e.g. a slow_start at
-      batch 5 and a crash at batch 100).
-
-    ``real`` forces real side effects (SIGKILL, sleep) or simulated
-    control exceptions; by default a context with a supervisor pipe dies
-    for real and a pipe-less one simulates — the serving control
-    plane's socket workers pass ``real=True`` explicitly because their
-    liveness channel is the socket, not a pipe.
+    ``faults`` are the plan's process faults for ``(label, attempt)``.
+    :meth:`fire_startup_faults` fires those without a progress index
+    (worker startup, before any work); :meth:`maybe_fault` fires those
+    whose ``at`` equals the progress reached — a plan may stack several
+    faults on one attempt (e.g. a slow_start at startup and a crash at
+    batch 100).  ``crash`` SIGKILLs this process and ``hang`` stalls it,
+    so call these only inside a worker the caller can afford to lose.
     """
 
-    def __init__(
-        self,
-        label: str,
-        attempt: int,
-        *,
-        fault: FaultSpec | None = None,
-        faults: "tuple[FaultSpec, ...] | None" = None,
-        checkpoint: object = None,
-        conn=None,
-        real: bool | None = None,
-    ) -> None:
-        if faults is None:
-            faults = () if fault is None else (fault,)
-        elif fault is not None:
-            raise ValueError("pass either fault= or faults=, not both")
+    def __init__(self, label: str, attempt: int,
+                 faults: "tuple[FaultSpec, ...]" = ()) -> None:
         self.label = label
         self.attempt = attempt
-        self.checkpoint = checkpoint
         self.faults = tuple(faults)
-        self._conn = conn
-        self._real = (conn is not None) if real is None else real
-
-    @property
-    def fault(self) -> FaultSpec | None:
-        """The first planned fault (single-fault plans; legacy accessor)."""
-        return self.faults[0] if self.faults else None
-
-    @property
-    def corrupts(self) -> bool:
-        """Whether this attempt's result is planned to be corrupted."""
-        return any(f.kind == "corrupt" for f in self.faults)
-
-    def heartbeat(self) -> None:
-        if self._conn is not None:
-            self._conn.send(("beat", None))
-
-    def save(self, state: object) -> None:
-        self.checkpoint = state
-        if self._conn is not None:
-            self._conn.send(("ckpt", state))
 
     def fire_startup_faults(self) -> None:
-        """Fire every planned fault with no progress index (worker
-        startup, before any work)."""
         for fault in self.faults:
-            if fault.at is None and fault.kind != "corrupt":
+            if fault.at is None:
                 self._fire(fault)
 
     def maybe_fault(self, progress: int) -> None:
-        self.heartbeat()
         for fault in self.faults:
-            if (
-                fault.kind != "corrupt"
-                and fault.at is not None
-                and int(progress) == fault.at
-            ):
+            if fault.at is not None and int(progress) == fault.at:
                 self._fire(fault)
 
     def _fire(self, fault: FaultSpec) -> None:
         if fault.kind == "slow_start":
             time.sleep(fault.delay_s)
-            return
-        if fault.kind == "exception":
+        elif fault.kind == "exception":
             raise TransientWorkerFault(
                 f"injected transient fault for {self.label!r} attempt {self.attempt}"
             )
-        if self._real:
-            # Real process: die or stall for real.
-            if fault.kind == "crash":
-                os.kill(os.getpid(), signal.SIGKILL)
-            elif fault.kind == "hang":
-                time.sleep(fault.delay_s or 3600.0)
-        else:
-            # In-process fallback: simulate with control exceptions the
-            # supervisor maps to the same outcomes as the real thing.
-            if fault.kind == "crash":
-                raise _SimulatedCrash(self.label)
-            if fault.kind == "hang":
-                raise _SimulatedStall(self.label)
-
-
-def _describe(item: object) -> str:
-    text = repr(item)
-    return text if len(text) <= 200 else text[:197] + "..."
-
-
-def _child_main(fn, item, with_context: bool, ctx: WorkerContext, conn) -> None:
-    """Forked worker body: run the attempt, report over the pipe."""
-    try:
-        ctx.fire_startup_faults()
-        result = fn(item, ctx) if with_context else fn(item)
-        if ctx.corrupts:
-            result = CorruptPayload(result)
-        # Piggyback this attempt's obs state on the result pickle.  A
-        # worker that dies before this line ships nothing — the retried
-        # attempt's snapshot is the only one merged, so replayed batches
-        # are never double-counted.
-        conn.send(("ok", obs.carry_result(result)))
-        conn.close()
-    except BaseException:
-        try:
-            conn.send(("err", traceback.format_exc(), _describe(item)))
-            conn.close()
-        except Exception:
-            pass
-        os._exit(1)
-    os._exit(0)
-
-
-class _ItemState:
-    """Supervisor-side bookkeeping for one item across its attempts."""
-
-    __slots__ = ("idx", "item", "label", "attempt", "checkpoint", "failure", "settled")
-
-    def __init__(self, idx: int, item: object, label: str) -> None:
-        self.idx = idx
-        self.item = item
-        self.label = label
-        self.attempt = 0
-        self.checkpoint: object = None
-        self.failure: WorkerFailure | None = None
-        self.settled = False
-
-
-class _Active:
-    __slots__ = ("state", "proc", "conn", "started", "started_wall", "hb")
-
-    def __init__(self, state: _ItemState, proc, conn, now: float,
-                 hb: HeartbeatMonitor) -> None:
-        self.state = state
-        self.proc = proc
-        self.conn = conn
-        self.started = now
-        self.started_wall = obs.wall_now()
-        self.hb = hb
-
-
-def run_supervised(
-    fn,
-    items,
-    jobs: int = 1,
-    *,
-    labels=None,
-    supervision: Supervision | None = None,
-    fault_plan: FaultPlan | None = None,
-    with_context: bool = False,
-    validate=None,
-    strict: bool = True,
-    log: SupervisionLog | None = None,
-) -> list:
-    """``[fn(x) for x in items]`` under per-item worker supervision.
-
-    Each item runs in its own forked process (even for a single item —
-    that is what makes a mid-run SIGKILL survivable).  ``labels`` name
-    the items for fault-plan lookup and error messages (default: the
-    item's index as a string).  ``validate(result)`` may raise to mark
-    an attempt's payload corrupt (also triggered by
-    :class:`CorruptPayload` results).  With ``strict=True`` a
-    :class:`WorkerError` is raised *after* every item has settled; with
-    ``strict=False`` terminal failures are left in their result slots
-    as :class:`WorkerFailure` markers.
-
-    ``fault_plan`` defaults to the environment-installed plan (see
-    :func:`~repro.framework.faults.install_fault_plan`).
-    """
-    items = list(items)
-    n = len(items)
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    labels = [str(lbl) for lbl in labels]
-    if len(labels) != n:
-        raise ValueError(f"got {len(labels)} labels for {n} items")
-    sup = supervision or Supervision()
-    plan = fault_plan if fault_plan is not None else installed_fault_plan()
-    log = log if log is not None else SupervisionLog()
-
-    states = [_ItemState(i, item, labels[i]) for i, item in enumerate(items)]
-    results: list = [None] * n
-    if n == 0:
-        return results
-
-    if fork_available():
-        _supervise_forked(
-            fn, states, results, jobs, sup, plan, with_context, validate, log
-        )
-    else:
-        _supervise_inprocess(fn, states, results, sup, plan, with_context, validate, log)
-
-    failures = [st.failure for st in states if st.failure is not None]
-    for st in states:
-        if st.failure is not None:
-            results[st.idx] = st.failure
-    if strict and failures:
-        first = failures[0]
-        message = (
-            f"supervised worker {first.label!r} failed after "
-            f"{first.attempts} attempt(s) [{first.outcome}]"
-        )
-        if first.error:
-            message += f": {first.error}"
-        if first.remote_traceback:
-            message += "\n--- remote traceback ---\n" + first.remote_traceback
-        err = WorkerError(
-            message,
-            item=first.label,
-            remote_traceback=first.remote_traceback,
-            attempts=first.attempts,
-        )
-        err.failures = failures
-        err.results = results
-        raise err
-    return results
-
-
-def _fail_attempt(
-    state: _ItemState,
-    outcome: str,
-    sup: Supervision,
-    log: SupervisionLog,
-    pending: deque | None,
-    now: float,
-    *,
-    error: str = "",
-    remote_traceback: str | None = None,
-) -> None:
-    """Record a failed attempt; schedule a retry or settle terminally."""
-    log.record(state.label, state.attempt, outcome)
-    if state.attempt >= sup.max_retries:
-        log.record(state.label, state.attempt, "failed")
-        state.failure = WorkerFailure(
-            label=state.label,
-            attempts=state.attempt + 1,
-            outcome=outcome,
-            error=error,
-            remote_traceback=remote_traceback,
-        )
-        state.settled = True
-        return
-    state.attempt += 1
-    if pending is not None:
-        delay = backoff_delay(state.label, state.attempt, sup)
-        if delay:
-            obs.histogram("supervise.backoff_s").record(delay)
-        pending.append((state, now + delay))
-
-
-def _check_result(result, validate) -> str | None:
-    """None when the payload is good, else a corruption description."""
-    if isinstance(result, CorruptPayload):
-        return "worker returned a corrupt payload"
-    if validate is not None:
-        try:
-            validate(result)
-        except Exception as exc:
-            return f"payload validation failed: {exc}"
-    return None
-
-
-def _supervise_forked(
-    fn, states, results, jobs, sup, plan, with_context, validate, log
-) -> None:
-    ctx_mp = multiprocessing.get_context("fork")
-    jobs = max(1, min(effective_jobs(jobs), len(states)))
-    pending: deque = deque((st, 0.0) for st in states)
-    active: dict[int, _Active] = {}
-    hb_hist = obs.histogram("supervise.heartbeat_gap_s")
-
-    def note_attempt(a: _Active, attempt: int, outcome: str) -> None:
-        obs.record_span(
-            "supervise.attempt", a.started_wall, obs.wall_now(),
-            label=a.state.label, attempt=attempt, outcome=outcome,
-        )
-
-    def launch(state: _ItemState, now: float) -> None:
-        obs.counter_add("supervise.attempts")
-        faults = plan.process_faults_for(state.label, state.attempt) if plan else ()
-        parent_conn, child_conn = ctx_mp.Pipe(duplex=False)
-        wctx = WorkerContext(
-            state.label,
-            state.attempt,
-            faults=faults,
-            checkpoint=state.checkpoint,
-            conn=child_conn,
-        )
-        proc = ctx_mp.Process(
-            target=_child_main,
-            args=(fn, state.item, with_context, wctx, child_conn),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        active[state.idx] = _Active(
-            state, proc, parent_conn, now,
-            HeartbeatMonitor(sup.heartbeat_timeout_s, hist=hb_hist, now=now),
-        )
-
-    def reap(a: _Active) -> None:
-        try:
-            a.conn.close()
-        except Exception:
-            pass
-        if a.proc.is_alive():
-            a.proc.kill()
-        a.proc.join()
-
-    def finish(state: _ItemState, terminal, now: float) -> str:
-        if terminal[0] == "ok":
-            # Unwrap the worker's piggybacked obs snapshot; merge it only
-            # when the payload is accepted, so a corrupt attempt's metrics
-            # never pollute the run-wide view the retry will refill.
-            result, snap = obs.split_carrier(terminal[1])
-            problem = _check_result(result, validate)
-            if problem is None:
-                log.record(state.label, state.attempt, "ok")
-                results[state.idx] = result
-                state.settled = True
-                if snap is not None:
-                    obs.merge_snapshot(snap)
-                return "ok"
-            _fail_attempt(state, "corrupt", sup, log, pending, now, error=problem)
-            return "corrupt"
-        else:  # ("err", remote_traceback, item_repr)
-            _, tb, item_repr = terminal
-            _fail_attempt(
-                state, "error", sup, log, pending, now,
-                error=f"worker raised on item {item_repr}",
-                remote_traceback=tb,
-            )
-            return "error"
-
-    while pending or active:
-        now = time.monotonic()
-
-        # Launch ready work up to the concurrency cap.
-        while pending and len(active) < jobs and pending[0][1] <= now:
-            state, _ = pending.popleft()
-            launch(state, now)
-        if not active:
-            # Only backoff-delayed retries remain: sleep until the first.
-            time.sleep(max(0.0, min(nb for _, nb in pending) - now))
-            continue
-
-        for idx, a in list(active.items()):
-            state = a.state
-            terminal = None  # ("ok", result) | ("err", tb, item_repr)
-            try:
-                while a.conn.poll(0):
-                    msg = a.conn.recv()
-                    if msg[0] == "beat":
-                        a.hb.beat()
-                    elif msg[0] == "ckpt":
-                        state.checkpoint = msg[1]
-                        a.hb.beat()
-                    else:
-                        terminal = msg
-                        break
-            except (EOFError, OSError):
-                pass  # pipe died with the worker; liveness check decides
-
-            now = time.monotonic()
-            if terminal is not None:
-                del active[idx]
-                reap(a)
-                attempt_no = state.attempt
-                note_attempt(a, attempt_no, finish(state, terminal, now))
-            elif not a.proc.is_alive():
-                # Died without a terminal message — but the pipe may still
-                # hold one buffered (small results flush before exit).
-                try:
-                    if a.conn.poll(0.05):
-                        msg = a.conn.recv()
-                        if msg[0] in ("ok", "err"):
-                            terminal = msg
-                        elif msg[0] == "ckpt":
-                            state.checkpoint = msg[1]
-                except (EOFError, OSError):
-                    pass
-                del active[idx]
-                reap(a)
-                attempt_no = state.attempt
-                if terminal is not None:
-                    note_attempt(a, attempt_no, finish(state, terminal, now))
-                else:
-                    _fail_attempt(
-                        state, "crash", sup, log, pending, now,
-                        error="worker died without reporting a result (SIGKILL/OOM?)",
-                    )
-                    note_attempt(a, attempt_no, "crash")
-            elif sup.timeout_s is not None and now - a.started > sup.timeout_s:
-                del active[idx]
-                reap(a)
-                attempt_no = state.attempt
-                _fail_attempt(
-                    state, "timeout", sup, log, pending, now,
-                    error=f"worker exceeded its {sup.timeout_s:g}s budget",
-                )
-                note_attempt(a, attempt_no, "timeout")
-            elif a.hb.expired(now):
-                del active[idx]
-                reap(a)
-                attempt_no = state.attempt
-                _fail_attempt(
-                    state, "timeout", sup, log, pending, now,
-                    error=f"no heartbeat for {sup.heartbeat_timeout_s:g}s",
-                )
-                note_attempt(a, attempt_no, "timeout")
-
-        if active:
-            time.sleep(sup.poll_interval_s)
-
-
-def _supervise_inprocess(
-    fn, states, results, sup, plan, with_context, validate, log
-) -> None:
-    """Sequential fallback when forking is unavailable (nested pools).
-
-    Crash and hang faults are simulated with control exceptions; attempt
-    outcomes, retry schedule, and checkpoint flow match the forked path.
-    """
-    tracking = obs.is_enabled()
-    for state in states:
-        while not state.settled:
-            faults = plan.process_faults_for(state.label, state.attempt) if plan else ()
-            wctx = WorkerContext(
-                state.label, state.attempt, faults=faults, checkpoint=state.checkpoint
-            )
-            delay = backoff_delay(state.label, state.attempt, sup)
-            if delay:
-                obs.histogram("supervise.backoff_s").record(delay)
-                time.sleep(delay)
-            obs.counter_add("supervise.attempts")
-            # Isolate this attempt's obs state the way a fork does: stash
-            # the outer recorder, run the attempt against a fresh one, and
-            # merge the attempt's snapshot only if its payload is accepted
-            # — a simulated crash discards its metrics exactly like a real
-            # SIGKILL discards the dead worker's.
-            outer = obs.drain() if tracking else None
-            t0w = obs.wall_now()
-            outcome = error = tb = None
-            result = None
-            try:
-                wctx.fire_startup_faults()
-                result = fn(state.item, wctx) if with_context else fn(state.item)
-                if wctx.corrupts:
-                    result = CorruptPayload(result)
-            except _SimulatedCrash:
-                outcome = "crash"
-                error = "worker died without reporting a result (simulated)"
-            except _SimulatedStall:
-                outcome = "timeout"
-                error = "worker hung past its budget (simulated)"
-            except Exception:
-                outcome = "error"
-                tb = traceback.format_exc()
-                error = f"worker raised on item {_describe(state.item)}"
-            finally:
-                if tracking:
-                    attempt_snap = obs.drain()
-                    obs.merge_snapshot(outer)
-            state.checkpoint = wctx.checkpoint
-            attempt_no = state.attempt
-            if outcome is None:
-                problem = _check_result(result, validate)
-                if problem is None:
-                    log.record(state.label, state.attempt, "ok")
-                    results[state.idx] = result
-                    state.settled = True
-                    if tracking:
-                        obs.merge_snapshot(attempt_snap)
-                    obs.record_span(
-                        "supervise.attempt", t0w, obs.wall_now(),
-                        label=state.label, attempt=attempt_no, outcome="ok",
-                    )
-                    continue
-                outcome, error = "corrupt", problem
-            obs.record_span(
-                "supervise.attempt", t0w, obs.wall_now(),
-                label=state.label, attempt=attempt_no, outcome=outcome,
-            )
-            _fail_attempt(
-                state, outcome, sup, log, None, time.monotonic(),
-                error=error, remote_traceback=tb,
-            )
+        elif fault.kind == "crash":
+            os.kill(os.getpid(), signal.SIGKILL)
+        elif fault.kind == "hang":
+            time.sleep(fault.delay_s or 3600.0)

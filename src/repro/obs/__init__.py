@@ -7,7 +7,7 @@ sites cost ~a branch) collects:
   forking (:mod:`repro.obs.spans`);
 * **metrics** — counters, gauges, and bounded log-binned streaming
   histograms (:mod:`repro.obs.metrics`);
-* **cross-process state** — pool and supervised workers piggyback their
+* **cross-process state** — pool and serve-net workers piggyback their
   obs snapshots on the existing result pickles; the parent merges them
   into one run-wide view that survives retries and checkpoint-resume
   (:mod:`repro.obs.collect`).

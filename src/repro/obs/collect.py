@@ -6,8 +6,8 @@ returns, so instrumented call sites cost ~a branch until ``enable()``.
 
 Cross-process flow — the piggyback protocol:
 
-* the parent calls :func:`enable` *before* forking, so pool/supervised
-  workers inherit the flag copy-on-write;
+* the parent calls :func:`enable` *before* forking, so pool and
+  serve-net workers inherit the flag copy-on-write;
 * an ``os.register_at_fork`` hook clears the child's inherited buffers
   (the parent still owns those records) while keeping the open-span
   stack, so child spans re-parent under the parent's open spans;
@@ -18,8 +18,7 @@ Cross-process flow — the piggyback protocol:
 * the parent unwraps with :func:`absorb_result` / :func:`split_carrier`
   and merges the snapshot into its own recorder — but only for
   *successful* attempts, which is what keeps retried/crashed attempts
-  from double-counting (a SIGKILLed fork's recorder dies unreported;
-  the in-process supervisor isolates attempts explicitly).
+  from double-counting (a SIGKILLed fork's recorder dies unreported).
 
 Everything a worker ships is picklable and rides the existing result
 pipes — there is no side channel to lose on a crash.

@@ -9,6 +9,7 @@ Usage::
     python -m repro.serve --days 7 --history-days 60  # bigger windows
     python -m repro.serve --json report.json          # machine-readable report
     python -m repro.serve --net --workers 2           # socket control plane
+    python -m repro.serve --checkpoint-every 50       # crash-resumable shards
     python -m repro.serve --listen 7341               # TCP front door
     python -m repro.serve --connect HOST:7341         # replay into a front door
 
@@ -16,9 +17,11 @@ Each cluster becomes one shard: a :class:`PredictionServer` fitted on
 the cluster's history serving that cluster's replayed event stream,
 with per-shard throughput and decision-latency telemetry.  ``--net``
 routes the shards through the :mod:`repro.serve.net` control plane
-(consistent-hash placement, bounded queues, retries/reroutes);
-``--listen`` exposes the same plane as a TCP front door and
-``--connect`` drives a remote one as a load-generating client.
+(consistent-hash placement, bounded queues, retries/reroutes, crash
+recovery from checkpoints); ``--checkpoint-every`` and
+``--fault-plan`` select it too.  ``--listen`` exposes the same plane as
+a TCP front door and ``--connect`` drives a remote one as a
+load-generating client.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from pathlib import Path
 
 from .. import obs
 from ..experiments.common import CLUSTERS
-from ..framework import FaultPlan, Supervision, SupervisionLog
+from ..framework import FaultPlan
 from .runtime import serve_clusters
 from .server import ServeConfig
 from .telemetry import aggregate_reports
@@ -54,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--speedup", type=float, default=None, metavar="X",
-        help="stream-seconds per wall-second (default: as fast as possible)",
+        help="stream-seconds per wall-second, in-process serving only "
+             "(default: as fast as possible)",
     )
     parser.add_argument(
         "--days", type=float, default=3.0, metavar="D",
@@ -81,24 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="freeze models: serve decisions without observing the stream",
     )
     parser.add_argument(
-        "--supervised", action="store_true",
-        help="run each shard under a watched worker (heartbeats, retries, "
-             "crash recovery)",
-    )
-    parser.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="K",
-        help="checkpoint every K micro-batches (supervised shards resume "
-             "from the last checkpoint after a crash)",
+        help="checkpoint every K micro-batches; a crashed shard resumes "
+             "from its last checkpoint (implies --net)",
     )
     parser.add_argument(
         "--fault-plan", default=None, metavar="JSON|PATH",
         help="deterministic fault-injection plan (inline JSON or a file "
-             "path); implies --supervised",
+             "path); implies --net",
     )
     parser.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
-        help="retry budget per shard attempt, for both the supervisor and "
-             "the net router (default 2)",
+        help="router retry budget per shard attempt and respawn budget "
+             "per worker (default 2)",
     )
     parser.add_argument(
         "--retry-base", type=float, default=0.05, metavar="S",
@@ -220,7 +219,15 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: bad --fault-plan: {exc}", file=sys.stderr)
             return 2
-    net_mode = args.net or args.listen is not None
+    # Fault injection and checkpoints are the router's business: either
+    # flag selects it, the way --listen does.
+    net_mode = (args.net or args.listen is not None or fault_plan is not None
+                or args.checkpoint_every is not None)
+    if args.speedup is not None and (net_mode or args.connect is not None):
+        print("error: --speedup paces in-process serving only; the router "
+              "(--net, --listen, --connect, --fault-plan, --checkpoint-every) "
+              "replays as fast as possible", file=sys.stderr)
+        return 2
     if args.replicas < 1:
         print(f"error: --replicas must be >= 1, got {args.replicas}",
               file=sys.stderr)
@@ -233,9 +240,13 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --replicas > 1 is a --net drive-mode feature "
               "(listen mode addresses shards by cluster)", file=sys.stderr)
         return 2
-    supervised = (args.supervised or fault_plan is not None) and not net_mode
+
+    from .net import NetConfig, serve_clusters_net
+
     try:
-        supervision = Supervision(
+        netcfg = NetConfig(
+            workers=args.workers,
+            queue_bound=args.queue_bound,
             max_retries=args.max_retries,
             backoff_base_s=args.retry_base,
             backoff_cap_s=args.retry_cap,
@@ -258,20 +269,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.connect is not None:
         return _run_connect(args, clusters, config)
 
-    log = SupervisionLog() if supervised else None
+    if args.listen is not None:
+        return _run_listen(args, clusters, config, netcfg, fault_plan)
     net_stats = None
     if net_mode:
-        from .net import FrontDoor, NetConfig, serve_clusters_net
-
-        netcfg = NetConfig(
-            workers=args.workers,
-            queue_bound=args.queue_bound,
-            max_retries=args.max_retries,
-            backoff_base_s=args.retry_base,
-            backoff_cap_s=args.retry_cap,
-        )
-        if args.listen is not None:
-            return _run_listen(args, clusters, config, netcfg, fault_plan)
         reports, net_stats = serve_clusters_net(
             clusters,
             config,
@@ -292,11 +293,6 @@ def main(argv: list[str] | None = None) -> int:
             stream_days=args.days,
             max_jobs=args.max_jobs,
             speedup=args.speedup,
-            supervised=supervised,
-            supervision=supervision if supervised else None,
-            fault_plan=fault_plan,
-            checkpoint_every=args.checkpoint_every,
-            log=log,
         )
 
     for report in reports:
@@ -324,11 +320,6 @@ def main(argv: list[str] | None = None) -> int:
             f"distribution ({agg['qssf_latency']['count']} decisions)"
         )
 
-    if log is not None and log.events:
-        print(
-            f"supervision: {log.retries()} retried attempt(s) across "
-            f"{len(log.events)} event(s)"
-        )
     if net_stats is not None:
         s = net_stats.as_dict()
         print(
@@ -339,8 +330,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json is not None:
         payload = {"shards": [r.as_dict() for r in reports], "aggregate": agg}
-        if log is not None:
-            payload["supervision"] = log.as_dict()
         if net_stats is not None:
             payload["net"] = net_stats.as_dict()
         args.json.parent.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,5 @@
-"""repro.serve.net — the resilient multi-host serving control plane.
+"""repro.serve.net — the resilient multi-host serving control plane,
+and the one fault-tolerant execution plane for serving shards.
 
 A socket front door (:mod:`.frontdoor`) accepts submit/finish/node
 events, consistent-hash routes shards onto forked socket workers

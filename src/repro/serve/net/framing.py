@@ -6,9 +6,10 @@ Wire format (zero dependencies beyond the stdlib): every frame is
 
 with tag ``b"P"`` for pickle (the internal router↔worker protocol —
 checkpoints and reports carry numpy arrays and dataclasses) and
-``b"J"`` for UTF-8 JSON (external front-door clients that should not
-unpickle anything).  The length covers tag + payload, so a reader can
-split frames without understanding either encoding.
+``b"J"`` for UTF-8 JSON (external front-door clients, whose links
+decode with :func:`unpack_json` and never unpickle anything).  The
+length covers tag + payload, so a reader can split frames without
+understanding either encoding.
 
 :class:`FramedConn` wraps a non-blocking socket with send/receive
 buffering — the single-threaded router pumps many of them from one
@@ -31,7 +32,7 @@ import time
 
 from ...framework.faults import FaultPlan, FaultSpec
 
-__all__ = ["FramedConn", "NetFaultFilter", "pack", "unpack"]
+__all__ = ["FramedConn", "NetFaultFilter", "pack", "unpack", "unpack_json"]
 
 _HEADER = struct.Struct(">I")
 _MAX_FRAME = 1 << 31  # sanity bound: a frame this big is a protocol bug
@@ -53,12 +54,18 @@ def pack(msg: object, fmt: str = "pickle") -> bytes:
 
 def unpack(body: bytes) -> object:
     """Decode one frame body (tag byte + payload)."""
-    tag, payload = body[:1], body[1:]
-    if tag == TAG_PICKLE:
-        return pickle.loads(payload)
-    if tag == TAG_JSON:
-        return json.loads(payload.decode())
-    raise ValueError(f"unknown frame tag {tag!r}")
+    if body[:1] == TAG_PICKLE:
+        return pickle.loads(body[1:])
+    return unpack_json(body)
+
+
+def unpack_json(body: bytes) -> object:
+    """Decode one JSON frame body; any other tag raises ValueError, as
+    do bad UTF-8 and bad JSON (both are ValueErrors)."""
+    tag = body[:1]
+    if tag != TAG_JSON:
+        raise ValueError(f"unknown frame tag {tag!r}")
+    return json.loads(body[1:].decode())
 
 
 class NetFaultFilter:
@@ -161,6 +168,9 @@ class FramedConn:
     def fileno(self) -> int:
         return self.sock.fileno()
 
+    def _decode(self, body: bytes) -> object:
+        return unpack(body)
+
     def send(self, msg: object, fmt: str = "pickle") -> None:
         frame = pack(msg, fmt)
         if self.faults is None:
@@ -219,7 +229,7 @@ class FramedConn:
             body = bytes(self._in[_HEADER.size:_HEADER.size + length])
             del self._in[:_HEADER.size + length]
             if self.faults is None or self.faults.incoming():
-                msgs.append(unpack(body))
+                msgs.append(self._decode(body))
                 self.frames_received += 1
         return msgs
 

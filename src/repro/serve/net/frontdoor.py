@@ -14,7 +14,10 @@ Two entry modes share one :class:`~repro.serve.net.router.Router`:
   with a retry-after once it is full — backpressure is explicit and
   the router never buffers unacked work without bound.  The protocol is
   strict request-reply over the same length-prefixed framing workers
-  use, JSON-friendly so clients never need to unpickle.
+  use, JSON only in both directions: a client link never unpickles, and
+  a malformed request — including an event whose refs fall outside the
+  shard's tables — gets ``{"op": "error"}`` and disconnects only the
+  client that sent it.
 
 :class:`FrontDoorClient` is the matching blocking client (also the
 load generator the loopback benchmark drives).
@@ -23,6 +26,7 @@ load generator the loopback benchmark drives).
 from __future__ import annotations
 
 import hashlib
+import math
 import selectors
 import socket
 import struct
@@ -32,17 +36,86 @@ import numpy as np
 
 from ...experiments import common
 from ...framework.faults import FaultPlan, installed_fault_plan
-from ...framework.supervise import Supervision, backoff_delay
+from ...framework.supervise import SupervisionLog, backoff_delay
 from ...obs import collect as obs
-from ..runtime import ShardTask
+from ..runtime import ShardTask, build_stream
 from ..server import ServeConfig
-from ..stream import EventBatch
-from .framing import FramedConn, pack, unpack
+from ..stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventBatch
+from .framing import FramedConn, pack, unpack_json
 from .router import NetConfig, NetStats, Router
 
 __all__ = ["FrontDoor", "FrontDoorClient", "serve_clusters_net"]
 
 _HEADER = struct.Struct(">I")
+
+_EVENT_KINDS = (FINISH, NODE_SAMPLE, SUBMIT, NODE_FAIL)
+
+
+class _ClientConn(FramedConn):
+    """A front-door client link: JSON frames only, never unpickled.
+    An undecodable frame decodes to ``None`` (not a request)."""
+
+    def _decode(self, body: bytes) -> object:
+        try:
+            return unpack_json(body)
+        except (ValueError, RecursionError):
+            # wrong tag, bad UTF-8, bad JSON, or JSON nested too deep
+            return None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_index(value) -> bool:
+    return _is_int(value) and 0 <= value < 2**63
+
+
+def _is_time(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) < 2**63
+
+
+def _request_problem(msg) -> str | None:
+    """Why a decoded client frame is not a well-formed request, or
+    None when it is (whether its op and cluster exist is checked when
+    it is served)."""
+    if not isinstance(msg, dict) or not isinstance(msg.get("op"), str):
+        return "not a request object"
+    op = msg["op"]
+    if op in ("open", "event", "close", "status") and not isinstance(
+        msg.get("cluster"), str
+    ):
+        return f"{op} needs a cluster name"
+    if op == "event":
+        if not _is_index(msg.get("bi")):
+            return "event needs a batch index bi >= 0"
+        if not _is_int(msg.get("kind")) or msg["kind"] not in _EVENT_KINDS:
+            return "event needs a known kind"
+        if not _is_time(msg.get("time")):
+            return "event needs a finite numeric time"
+        refs = msg.get("refs")
+        if not isinstance(refs, list) or not all(_is_index(r) for r in refs):
+            return "event needs refs, a list of indices >= 0"
+    return None
+
+
+def _ref_limits(task: ShardTask) -> dict[int, int]:
+    """For each event kind the shard serves, the row count of the table
+    its refs index; a kind the shard has no table for is absent.  A ref
+    past these would crash the worker serving it."""
+    stream = build_stream(task)
+    jobs = len(stream.jobs)
+    limits = {SUBMIT: jobs, FINISH: jobs}
+    if stream.demand is not None:
+        bins = len(stream.demand)
+        if stream.arrivals is not None:
+            bins = min(bins, len(stream.arrivals))
+        limits[NODE_SAMPLE] = bins
+    if stream.node_events is not None:
+        limits[NODE_FAIL] = len(stream.node_events)
+    return limits
 
 
 class FrontDoor:
@@ -52,6 +125,8 @@ class FrontDoor:
                  fault_plan: FaultPlan | None = None) -> None:
         self.router = Router(tasks, net=net, fault_plan=fault_plan)
         self.port: int | None = None
+        #: per opened shard, :func:`_ref_limits` — checked at admission
+        self._ref_limits: dict[str, dict[int, int]] = {}
 
     def run(self) -> tuple[list, NetStats]:
         """Local-drive mode: stream every configured shard through the
@@ -89,12 +164,14 @@ class FrontDoor:
                 sel.select(timeout=router.cfg.poll_interval_s)
                 try:
                     csock, _ = lsock.accept()
-                    clients.append(FramedConn(csock))
+                    clients.append(_ClientConn(csock))
                 except (BlockingIOError, InterruptedError):
                     pass
                 for client in clients:
                     client.pump()
                     for msg in client.receive():
+                        if client.closed:
+                            break  # dropped mid-batch: ignore the rest
                         if self._client_msg(client, msg):
                             opened = True
                 clients = [c for c in clients if not c.closed]
@@ -111,10 +188,22 @@ class FrontDoor:
             if c in router.routes
         ], router.stats
 
-    def _client_msg(self, client: FramedConn, msg: dict) -> bool:
+    @staticmethod
+    def _drop(client: FramedConn, problem: str) -> None:
+        """Answer a malformed request and disconnect only its sender."""
+        client.send({"op": "error", "error": f"malformed request: {problem}"},
+                    fmt="json")
+        client.pump()
+        client.close()
+
+    def _client_msg(self, client: FramedConn, msg) -> bool:
         """Handle one client request; returns True when it opened a shard."""
+        problem = _request_problem(msg)
+        if problem is not None:
+            self._drop(client, problem)
+            return False
         router = self.router
-        op = msg.get("op")
+        op = msg["op"]
         cluster = msg.get("cluster")
         if op == "open":
             task = router.tasks.get(cluster)
@@ -123,6 +212,7 @@ class FrontDoor:
                              "error": "unknown cluster"}, fmt="json")
                 return False
             if cluster not in router.routes:
+                self._ref_limits[cluster] = _ref_limits(task)
                 router.open_route(task, batches=[], total=None)
             client.send({"op": "opened", "cluster": cluster}, fmt="json")
             return True
@@ -131,6 +221,10 @@ class FrontDoor:
             if route is None:
                 client.send({"op": "error", "cluster": cluster,
                              "error": "not opened"}, fmt="json")
+                return False
+            limit = self._ref_limits[cluster].get(msg["kind"])
+            if limit is None or any(r >= limit for r in msg["refs"]):
+                self._drop(client, f"refs out of range for kind {msg['kind']}")
                 return False
             # Admission control: the per-shard queue is everything
             # buffered but not yet acked by a worker.  Full → reject
@@ -193,7 +287,8 @@ class FrontDoorClient:
     :func:`~repro.framework.supervise.backoff_delay` (capped exponential
     with deterministic ``stable_seed`` jitter), never longer than
     ``retry_cap_s``, and gives up with a clear error after
-    ``max_retries`` attempts instead of retrying forever.
+    ``max_retries`` attempts instead of retrying forever.  Requests and
+    replies are JSON only.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 60.0,
@@ -201,15 +296,12 @@ class FrontDoorClient:
                  retry_cap_s: float = 0.5) -> None:
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         self._buf = bytearray()
-        self._sup = Supervision(
-            timeout_s=None,
-            max_retries=max_retries,
-            backoff_base_s=retry_base_s,
-            backoff_cap_s=retry_cap_s,
-        )
+        self.max_retries = max_retries
+        self.retry_base_s = retry_base_s
+        self.retry_cap_s = retry_cap_s
 
-    def request(self, msg: dict, fmt: str = "json") -> dict:
-        self.sock.sendall(pack(msg, fmt=fmt))
+    def request(self, msg: dict) -> dict:
+        self.sock.sendall(pack(msg, fmt="json"))
         return self._read_frame()
 
     def _read_frame(self) -> dict:
@@ -219,7 +311,7 @@ class FrontDoorClient:
                 if len(self._buf) >= _HEADER.size + length:
                     body = bytes(self._buf[_HEADER.size:_HEADER.size + length])
                     del self._buf[:_HEADER.size + length]
-                    return unpack(body)
+                    return unpack_json(body)
             chunk = self.sock.recv(1 << 16)
             if not chunk:
                 raise ConnectionError("front door hung up")
@@ -237,23 +329,23 @@ class FrontDoorClient:
             "kind": int(batch.kind), "time": float(batch.time),
             "refs": [int(r) for r in batch.refs],
         }
-        sup = self._sup
         last_hint = 0.0
-        for attempt in range(sup.max_retries + 1):
+        for attempt in range(self.max_retries + 1):
             reply = self.request(msg)
             if reply.get("op") != "busy":
                 return reply
             last_hint = float(reply.get("retry_after_s", 0.0))
-            if attempt == sup.max_retries:
+            if attempt == self.max_retries:
                 break
             delay = max(
                 last_hint,
-                backoff_delay(f"frontdoor:{cluster}:{bi}", attempt + 1, sup),
+                backoff_delay(f"frontdoor:{cluster}:{bi}", attempt + 1,
+                              self.retry_base_s, self.retry_cap_s),
             )
-            time.sleep(min(delay, sup.backoff_cap_s))
+            time.sleep(min(delay, self.retry_cap_s))
         raise TimeoutError(
             f"front door stayed busy for {cluster} bi={bi} after "
-            f"{sup.max_retries} retries (last retry_after_s={last_hint:g})"
+            f"{self.max_retries} retries (last retry_after_s={last_hint:g})"
         )
 
     def wait_done(self, cluster: str, timeout_s: float = 600.0,
@@ -290,15 +382,19 @@ def serve_clusters_net(
     fault_plan: FaultPlan | None = None,
     net: NetConfig | None = None,
     replicas: int = 1,
+    log: SupervisionLog | None = None,
 ) -> tuple[list, NetStats]:
     """Serve one shard per cluster through the socket control plane.
 
-    The networked sibling of
+    The fault-tolerant sibling of
     :func:`~repro.serve.runtime.serve_clusters`: same tasks, same
     reports (the parity surface is byte-identical to a direct run), but
     batches travel over sockets to consistent-hash-routed workers with
-    bounded queues, retries, reroutes, and chaos injection.
-    ``fault_plan`` defaults to the environment-installed plan.
+    bounded queues, retries, reroutes, checkpoint resume every
+    ``checkpoint_every`` batches, and chaos injection.  ``fault_plan``
+    defaults to the environment-installed plan; ``log`` collects every
+    shard attempt's outcome, and each report's ``retries`` counts its
+    shard's failed attempts.
 
     ``replicas > 1`` splits every cluster's stream across a replica
     group (see :func:`~repro.serve.net.replicate.replica_slice`);
@@ -329,4 +425,7 @@ def serve_clusters_net(
     # copy-on-write instead of regenerating the cluster per process.
     for c in clusters:
         common.cluster_gpu_trace(c)
-    return FrontDoor(tasks, net=netcfg, fault_plan=plan).run()
+    door = FrontDoor(tasks, net=netcfg, fault_plan=plan)
+    if log is not None:
+        door.router.log = log
+    return door.run()

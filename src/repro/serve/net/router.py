@@ -1,5 +1,6 @@
 """The serving control plane's router: links, routes, and resilience.
 
+This is the one fault-tolerant execution plane for serving shards.
 The router owns a pool of forked socket workers (one
 :class:`WorkerLink` each, talking framed messages over a socketpair)
 and a :class:`RouteState` per shard.  Shards are placed on workers by
@@ -24,6 +25,16 @@ stops making progress:
    unavailable, or reroute budget exhausted): the router serves the
    remaining batches in-process — decisions never stop flowing,
    mirroring the in-shard degradation ladder.
+
+Every attempt at serving a shard ends in one
+:class:`~repro.framework.supervise.SupervisionLog` event (``Router.log``):
+``crash`` when its worker hung up, ``timeout`` when a deadline or the
+heartbeat expired, ``ok`` when its report arrived (passthrough
+included); the report's ``retries`` counts the failed attempts.
+Failure isolation is per worker process — shards sharing a worker
+share its crash, and each resumes from its own checkpoint.  Without
+fork there is no worker process, so a plan's process faults (crash,
+hang, ...) do not fire in the passthrough.
 
 With central replication (``ServeConfig.replicate = "central"``) the
 router also hosts the :class:`~repro.serve.net.replicate.ModelUpdateHub`:
@@ -52,7 +63,7 @@ from dataclasses import dataclass, field
 
 from ...framework.faults import FaultPlan
 from ...framework.parallel import fork_available
-from ...framework.supervise import HeartbeatMonitor, Supervision, backoff_delay
+from ...framework.supervise import HeartbeatMonitor, SupervisionLog, backoff_delay
 from ...obs import collect as obs
 from ..runtime import ShardTask, build_shard, build_stream
 from ..server import ServingSession
@@ -67,9 +78,8 @@ __all__ = ["NetConfig", "NetStats", "Router", "RouteState", "WorkerLink"]
 @dataclass(frozen=True)
 class NetConfig:
     """Control-plane knobs: pool size, backpressure, deadlines, retry
-    shape.  ``max_retries``/``backoff_base_s``/``backoff_cap_s`` are the
-    same knobs the forked supervisor exposes — the CLI threads one set
-    of flags into both planes."""
+    shape.  The CLI's ``--max-retries``/``--retry-base``/``--retry-cap``
+    set ``max_retries``/``backoff_base_s``/``backoff_cap_s``."""
 
     workers: int = 2
     #: max unacked batches in flight per shard (the bounded queue)
@@ -95,16 +105,18 @@ class NetConfig:
             raise ValueError("deadlines must be positive")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-
-    def supervision(self) -> Supervision:
-        """The equivalent supervise knobs (used for backoff computation)."""
-        return Supervision(
-            timeout_s=None,
-            max_retries=self.max_retries,
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s,
-            poll_interval_s=self.poll_interval_s,
-        )
+        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
+            raise ValueError("backoff parameters must be >= 0")
+        if self.poll_interval_s <= 0:
+            raise ValueError(
+                f"poll_interval_s must be positive, got {self.poll_interval_s}"
+            )
+        if self.heartbeat_timeout_s is not None and self.heartbeat_timeout_s <= 0:
+            raise ValueError(
+                f"heartbeat_timeout_s must be positive, got {self.heartbeat_timeout_s}"
+            )
+        if self.vnodes < 1:
+            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
 
 
 @dataclass
@@ -237,7 +249,7 @@ class Router:
         self.routes: dict[str, RouteState] = {}
         self.links: dict[str, WorkerLink] = {}
         self.ring: HashRing | None = None
-        self._sup = self.cfg.supervision()
+        self.log = SupervisionLog()
         self._mp = multiprocessing.get_context("fork") if fork_available() else None
         enabled = obs.is_enabled()
         self._qdepth = obs.histogram("net.queue_depth") if enabled else None
@@ -465,9 +477,15 @@ class Router:
             if route.phase == "finishing":
                 report, snap = obs.split_carrier(msg["report"])
                 obs.merge_snapshot(snap)
-                route.report = report
-                route.phase = "done"
-                route.deadline = None
+                self._deliver(route, report)
+
+    def _deliver(self, route: RouteState, report) -> None:
+        """The route's current attempt produced its report."""
+        self.log.record(route.cluster, route.attempt, "ok")
+        report.retries = self.log.retries(route.cluster)
+        route.report = report
+        route.phase = "done"
+        route.deadline = None
 
     # -- model replication ----------------------------------------------
 
@@ -592,10 +610,13 @@ class Router:
             if link is not None and link.alive:
                 self._link_down(link, now, reason="unresponsive")
             else:
-                self._reroute(route, now, avoid=route.worker)
+                self._reroute(route, now, avoid=route.worker, outcome="timeout")
             return
         # Rung 2: rewind to the acked cursor and resend after backoff.
-        delay = backoff_delay(f"net:{route.cluster}", route.retries, self._sup)
+        delay = backoff_delay(
+            f"net:{route.cluster}", route.retries,
+            self.cfg.backoff_base_s, self.cfg.backoff_cap_s,
+        )
         route.backoff_until = now + delay
         route.next_send = route.acked
         route.sent_at.clear()
@@ -626,13 +647,18 @@ class Router:
             )
             self.stats.respawns += 1
             obs.counter_add("net.respawns")
+        outcome = "crash" if reason == "hangup" else "timeout"
         for route in self.routes.values():
             if route.worker == link.name and route.phase in (
                 "resuming", "streaming", "finishing"
             ):
-                self._reroute(route, now, avoid=link.name)
+                self._reroute(route, now, avoid=link.name, outcome=outcome)
 
-    def _reroute(self, route: RouteState, now: float, avoid: str | None) -> None:
+    def _reroute(self, route: RouteState, now: float, avoid: str | None,
+                 outcome: str) -> None:
+        """End the route's current attempt as ``outcome`` and start the
+        next one on a sibling (or in-process)."""
+        self.log.record(route.cluster, route.attempt, outcome)
         route.reroutes += 1
         route.attempt += 1
         route.retries = 0
@@ -678,13 +704,11 @@ class Router:
             # Listen-mode passthrough: no authoritative batch list held
             # here; replay the locally-built stream (pre-replication
             # behavior, whole-cluster shards only).
-            route.report = server.run(
+            self._deliver(route, server.run(
                 stream,
                 speedup=task.speedup,
                 resume=route.ckpt,
-            )
-            route.phase = "done"
-            route.deadline = None
+            ))
             return
         central = self.hub is not None and task.config.replicate == "central"
         if central:
@@ -703,9 +727,7 @@ class Router:
             session.process(bi, batch)
             if central:
                 self._drain_local_sync(task, server)
-        route.report = session.finish()
-        route.phase = "done"
-        route.deadline = None
+        self._deliver(route, session.finish())
 
     def _drain_local_sync(self, task: ShardTask, server) -> None:
         """Synchronous sync loop for an in-process shard: every

@@ -27,8 +27,8 @@ with a tiny RPC vocabulary over one framed socket:
   never run against a model the merged-stream run would not have
   used); the parked frames drain the moment the snapshot installs.
 * ``finish``   — close the session; replies ``report`` with the shard
-  report (obs state piggybacked the same way the forked supervisor
-  carries it).
+  report (this process's obs state piggybacked on it, so a worker that
+  dies first ships nothing and nothing is double-counted).
 * ``forget``   — drop a session (the shard was rerouted elsewhere).
 * ``ping``/``shutdown`` — liveness probe / clean exit.
 
@@ -41,12 +41,12 @@ snapshot lost to a crash or partition is always re-requested (the hub
 answers duplicates from its version cache).
 
 Process faults from the installed
-:class:`~repro.framework.faults.FaultPlan` fire exactly as under the
-supervisor: a :class:`~repro.framework.supervise.WorkerContext` built
-with ``real=True`` (the liveness channel is the socket, not a pipe)
-SIGKILLs or stalls this process at the planned batch index, keyed by
-``(shard id, attempt)`` where ``attempt`` counts the router's resume
-attempts for that shard.
+:class:`~repro.framework.faults.FaultPlan` fire here, in the one
+process the router can afford to lose: a
+:class:`~repro.framework.supervise.WorkerContext` keyed by ``(shard id,
+attempt)`` — ``attempt`` counts the router's resume attempts for that
+shard — SIGKILLs, stalls, slows or fails this process at startup or at
+the planned batch index.
 """
 
 from __future__ import annotations
@@ -85,9 +85,7 @@ class ShardHost:
         #: rebuilt host (respawn/reroute) starts empty and re-sends
         self.sent_syncs: set[tuple[str, int]] = set()
         faults = plan.process_faults_for(task.shard_id, attempt) if plan else ()
-        self.ctx = WorkerContext(
-            task.shard_id, attempt, faults=faults, real=True
-        )
+        self.ctx = WorkerContext(task.shard_id, attempt, faults=faults)
         self.ctx.fire_startup_faults()
         self.session = ServingSession(
             server,
@@ -292,8 +290,8 @@ def _process_items(conn, host, cluster, bi0, items, acks: dict) -> None:
         if bi < host.session.cursor:
             served = bi
             continue  # duplicate: folds into the ack, no side effects
-        # Fault hook mirrors run_shard's on_batch: progress == batch
-        # index, fired only for batches actually about to be served.
+        # Fault hook: progress == batch index, fired only for batches
+        # actually about to be served.
         host.ctx.maybe_fault(bi)
         host.session.process(bi, batch)
         served = bi

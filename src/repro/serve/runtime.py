@@ -7,12 +7,10 @@ stream.  Shards are independent, so they fan out over
 shared trace memos first so workers inherit them copy-on-write instead
 of regenerating six months of synthetic workload per process.
 
-With ``supervised=True`` the fan-out instead runs under
-:func:`repro.framework.supervise.run_supervised`: each shard gets its
-own watched worker process with heartbeats, timeouts and bounded
-retries.  A shard that crashes (SIGKILL, OOM) mid-stream is restarted
-and — when ``checkpoint_every`` is set — resumed from its last
-:class:`~repro.serve.server.ShardCheckpoint`, producing a report whose
+Fault tolerance lives in one place, the :mod:`repro.serve.net`
+router: it serves the same :class:`ShardTask` on watched worker
+processes and resumes a crashed shard from its last
+:class:`~repro.serve.server.ShardCheckpoint`, with a report whose
 parity surface is byte-identical to a never-failed run.
 
 The shard scenario mirrors the batch experiments: QSSF trains on the
@@ -40,14 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..experiments import common
-from ..framework.faults import FaultPlan
 from ..framework.parallel import run_forked
-from ..framework.supervise import (
-    Supervision,
-    SupervisionLog,
-    WorkerContext,
-    run_supervised,
-)
 from ..obs import collect as obs
 from ..sched import FIFOScheduler
 from ..sim import Simulator, running_nodes_series
@@ -73,8 +64,8 @@ class ShardTask:
     speedup: float | None = None
     source: str = "trace"
     #: checkpoint cadence in micro-batches (None = no checkpoints);
-    #: only meaningful under supervised serving, where the supervisor
-    #: resumes a restarted shard from its last checkpoint.
+    #: read by the serve-net workers, whose router resumes a restarted
+    #: shard from its last checkpoint.
     checkpoint_every: int | None = None
     #: replica-group position: the serve-net router splits one cluster's
     #: stream across ``replica_count`` shards (submit batches round-robin
@@ -239,35 +230,12 @@ def _scale_demand(raw: np.ndarray, scale: float, total_nodes: int) -> np.ndarray
     return np.minimum(np.round(raw * scale), float(total_nodes))
 
 
-def run_shard(task: ShardTask, context: WorkerContext | None = None) -> ShardReport:
-    """Build and serve one shard to exhaustion (the pool's task unit).
-
-    Under supervision ``context`` wires the serving loop into the
-    fault-tolerance plane: checkpoints flow to the supervisor via
-    ``context.save`` (so a restarted attempt resumes mid-stream from
-    ``context.checkpoint``), and each micro-batch heartbeats — and
-    gives any installed :class:`~repro.framework.faults.FaultPlan` its
-    deterministic injection point — through ``context.maybe_fault``.
-    """
-    resumed = context is not None and context.checkpoint is not None
-    with obs.trace("serve.shard", cluster=task.cluster, source=task.source,
-                   resumed=resumed):
+def run_shard(task: ShardTask) -> ShardReport:
+    """Build and serve one shard to exhaustion (the pool's task unit)."""
+    with obs.trace("serve.shard", cluster=task.cluster, source=task.source):
         with obs.trace("serve.build_shard", cluster=task.cluster):
             server, stream = build_shard(task)
-        if context is None:
-            return server.run(
-                stream,
-                speedup=task.speedup,
-                checkpoint_every=task.checkpoint_every,
-            )
-        return server.run(
-            stream,
-            speedup=task.speedup,
-            checkpoint_every=task.checkpoint_every,
-            checkpoint_sink=context.save,
-            resume=context.checkpoint,
-            on_batch=context.maybe_fault,
-        )
+        return server.run(stream, speedup=task.speedup)
 
 
 def serve_clusters(
@@ -279,12 +247,6 @@ def serve_clusters(
     max_jobs: int | None = None,
     speedup: float | None = None,
     source: str = "trace",
-    *,
-    supervised: bool = False,
-    supervision: Supervision | None = None,
-    fault_plan: FaultPlan | None = None,
-    checkpoint_every: int | None = None,
-    log: SupervisionLog | None = None,
 ) -> list[ShardReport]:
     """Serve one shard per cluster, fanned out over the fork pool.
 
@@ -292,14 +254,10 @@ def serve_clusters(
     parent warms each cluster's GPU trace before forking, so every
     worker inherits the traces copy-on-write.  ``source="replay"``
     streams each shard from a live simulator replay instead of the
-    raw-trace approximation.
-
-    ``supervised=True`` runs each shard under a watched worker process
-    (heartbeats, timeouts, bounded retries) with crash recovery from
-    periodic checkpoints every ``checkpoint_every`` micro-batches; a
-    ``fault_plan`` injects deterministic failures for chaos testing,
-    and ``log`` collects the per-attempt supervision events.  Each
-    report's ``retries`` field carries the restarts its shard needed.
+    raw-trace approximation.  Crash recovery, checkpoints and fault
+    injection are the router's job:
+    :func:`~repro.serve.net.serve_clusters_net` serves the same shards
+    with them.
     """
     cfg = config or ServeConfig()
     tasks = [
@@ -311,28 +269,11 @@ def serve_clusters(
             max_jobs=max_jobs,
             speedup=speedup,
             source=source,
-            checkpoint_every=checkpoint_every if supervised else None,
         )
         for c in clusters
     ]
-    with obs.trace("serve.fanout", clusters=list(clusters), jobs=jobs,
-                   supervised=supervised):
-        if jobs > 1 or supervised:
+    with obs.trace("serve.fanout", clusters=list(clusters), jobs=jobs):
+        if jobs > 1:
             for c in clusters:
                 common.cluster_gpu_trace(c)
-        if not supervised:
-            return run_forked(run_shard, tasks, jobs)
-        log = log if log is not None else SupervisionLog()
-        reports = run_supervised(
-            run_shard,
-            tasks,
-            jobs,
-            labels=[t.cluster for t in tasks],
-            supervision=supervision,
-            fault_plan=fault_plan,
-            with_context=True,
-            log=log,
-        )
-        for task, report in zip(tasks, reports):
-            report.retries = log.retries(task.cluster)
-        return reports
+        return run_forked(run_shard, tasks, jobs)

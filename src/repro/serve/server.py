@@ -174,8 +174,8 @@ class ShardReport:
     #: a merged-stream run's decisions by micro-batch
     decision_index: list[tuple[int, int]] | None = None
     ces_active: np.ndarray | None = None
-    #: supervision retries spent serving this shard (set by the runtime,
-    #: not the server — a never-supervised shard reports 0)
+    #: failed attempts the serve-net router retried for this shard (set
+    #: by the router, not the server — an in-process shard reports 0)
     retries: int = 0
     #: degradation-ladder telemetry: rung reached + degraded decisions
     degraded: dict[str, int] = field(default_factory=dict)
@@ -225,7 +225,7 @@ class ShardReport:
 
     def parity_dict(self) -> dict:
         """The deterministic subset of the report: everything except
-        wall-clock metrics (latencies, throughput) and supervision
+        wall-clock metrics (latencies, throughput) and router
         retries.  Two runs of the same stream — including a crashed-and-
         resumed one — must agree on this dict exactly."""
         return {
@@ -580,7 +580,6 @@ class PredictionServer:
         checkpoint_every: int | None = None,
         checkpoint_sink: Callable[[ShardCheckpoint], None] | None = None,
         resume: ShardCheckpoint | None = None,
-        on_batch: Callable[[int], None] | None = None,
     ) -> ShardReport:
         """Serve one stream to exhaustion; returns the shard report.
 
@@ -589,8 +588,7 @@ class PredictionServer:
         micro-batch window.  ``checkpoint_every=K`` (with a
         ``checkpoint_sink``) emits a :class:`ShardCheckpoint` every K
         micro-batches; ``resume`` restores one, skipping every batch
-        before its cursor.  ``on_batch(bi)`` is invoked before each
-        *processed* batch — the supervisor's heartbeat/fault hook.
+        before its cursor.
 
         ``run`` is a thin wrapper over :class:`ServingSession`: it owns
         the stream iteration and nothing else, so a caller that receives
@@ -608,8 +606,6 @@ class PredictionServer:
         for bi, batch in enumerate(stream.play(window, speedup)):
             if bi < session.cursor:
                 continue  # replayed prefix already served pre-crash
-            if on_batch is not None:
-                on_batch(bi)
             session.process(bi, batch)
         return session.finish()
 
@@ -623,8 +619,9 @@ class PredictionServer:
         completed run.  A SIGKILLed attempt publishes nothing (its
         recorder dies with it) and the resumed attempt publishes the
         full totals, so spans/metrics survive checkpoint-resume without
-        double-counting replayed batches, and the forked and in-process
-        supervisors report identical totals by construction.
+        double-counting replayed batches, and a router worker and the
+        router's in-process passthrough report identical totals by
+        construction.
         """
         c = report.cluster
         counts = state["counts"]

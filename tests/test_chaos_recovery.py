@@ -15,18 +15,19 @@ from repro.framework import (
     FaultSpec,
     PassthroughQueueService,
     QSSFService,
-    Supervision,
     SupervisionLog,
     fork_available,
 )
-from repro.serve import ShardTask, build_shard, serve_clusters
+from repro.serve import NetConfig, ShardTask, build_shard, serve_clusters_net
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
 _TASK = dict(history_days=14, stream_days=1.0, max_jobs=400)
 
-FAST_SUP = Supervision(
-    timeout_s=120.0, max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01,
+#: one worker, fast backoff: the crashed shard comes back on the
+#: respawned worker
+FAST_NET = NetConfig(
+    workers=1, max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01,
     poll_interval_s=0.005,
 )
 
@@ -86,9 +87,8 @@ class TestSigkillRecovery:
             seed=7, faults=(FaultSpec(key="Venus", kind="crash", at=130),)
         )
         log = SupervisionLog()
-        (recovered,) = serve_clusters(
-            ("Venus",), config=_config(), jobs=1, **_TASK,
-            supervised=True, supervision=FAST_SUP, fault_plan=plan,
+        (recovered,), _ = serve_clusters_net(
+            ("Venus",), _config(), **_TASK, net=FAST_NET, fault_plan=plan,
             checkpoint_every=50, log=log,
         )
         assert recovered.parity_bytes() == baseline.parity_bytes()
@@ -103,9 +103,8 @@ class TestSigkillRecovery:
         runs = []
         for _ in range(2):
             log = SupervisionLog()
-            (report,) = serve_clusters(
-                ("Venus",), config=_config(), jobs=1, **_TASK,
-                supervised=True, supervision=FAST_SUP, fault_plan=plan,
+            (report,), _ = serve_clusters_net(
+                ("Venus",), _config(), **_TASK, net=FAST_NET, fault_plan=plan,
                 checkpoint_every=50, log=log,
             )
             runs.append((log.events, report.parity_bytes()))

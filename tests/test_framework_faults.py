@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.framework import (
-    CorruptPayload,
+    FAULT_KINDS,
     FaultPlan,
     FaultSpec,
     clear_fault_plan,
@@ -24,6 +24,10 @@ class TestFaultSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="kind"):
             FaultSpec(key="a", kind="meteor")
+        # nothing consumes a corrupted payload any more
+        assert "corrupt" not in FAULT_KINDS
+        with pytest.raises(ValueError, match="kind"):
+            FaultSpec(key="a", kind="corrupt")
         with pytest.raises(ValueError, match="attempt"):
             FaultSpec(key="a", attempt=-1)
         with pytest.raises(ValueError, match="at"):
@@ -134,9 +138,3 @@ class TestNetFaultSpecs:
         assert again == plan
         part, delay = again.net_faults_for("link:w1", 2)
         assert (part.span, delay.delay_s) == (100_000, 0.25)
-
-
-class TestCorruptPayload:
-    def test_wraps_payload(self):
-        wrapped = CorruptPayload({"x": 1})
-        assert wrapped.payload == {"x": 1}

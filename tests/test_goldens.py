@@ -29,6 +29,7 @@ import pytest
 from repro.experiments.cache import dumps_payload
 from repro.experiments.orchestrator import _run_seeded
 from repro.experiments.registry import smoke_ids
+from repro.framework import fork_available
 
 # Cold smoke exhibits include replays + forecaster fits (~20 s);
 # tier-1 and the CI coverage job run this, quick loops skip it.
@@ -47,6 +48,11 @@ VOLATILE_KEYS = frozenset(
 #: (the serving exhibits print events/s and latency percentiles); their
 #: text is scrubbed too.  Every other exhibit's text is locked.
 VOLATILE_TEXT = frozenset({"serve_smoke", "serve_replay"})
+
+#: Exhibits whose payload needs ``os.fork``: ``serve_chaos`` SIGKILLs a
+#: forked router worker, and without fork the router serves in-process,
+#: where the crash fault has nothing to kill.
+NEEDS_FORK = frozenset({"serve_chaos"})
 
 
 def scrub(obj, *, drop_text: bool = False):
@@ -74,6 +80,8 @@ def golden_path(exp_id: str) -> Path:
 
 @pytest.mark.parametrize("exp_id", smoke_ids())
 def test_smoke_payload_matches_golden(exp_id, request):
+    if exp_id in NEEDS_FORK and not fork_available():
+        pytest.skip(f"{exp_id} needs os.fork")
     payload = _run_seeded(exp_id)  # the orchestrator's seeded code path
     digest = payload_digest(exp_id, payload)
     path = golden_path(exp_id)

@@ -10,6 +10,10 @@ and the FIFO-passthrough rung when no worker pool exists.
 """
 
 import hashlib
+import json
+import pickle
+import socket
+import struct
 import threading
 
 import pytest
@@ -32,8 +36,9 @@ from repro.serve.net import (
     pack,
     unpack,
 )
-from repro.serve.net.framing import TAG_JSON
+from repro.serve.net.framing import TAG_JSON, unpack_json
 from repro.serve.server import encode_decisions
+from repro.serve.stream import NODE_FAIL, NODE_SAMPLE, SUBMIT
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
@@ -116,6 +121,13 @@ class TestFraming:
             pack({}, fmt="xml")
         with pytest.raises(ValueError, match="tag"):
             unpack(b"Xjunk")
+
+    def test_json_decoder_never_unpickles(self):
+        assert unpack_json(pack([1, 2], fmt="json")[4:]) == [1, 2]
+        with pytest.raises(ValueError, match="tag"):
+            unpack_json(pack({"op": "status"})[4:])  # a pickle frame
+        with pytest.raises(ValueError):
+            unpack_json(b"J\xff\xfe")  # not UTF-8
 
 
 def _filter(faults, label="link:w0", epoch=0):
@@ -251,12 +263,8 @@ class TestNetConfig:
             NetConfig(queue_bound=0)
         with pytest.raises(ValueError, match="deadlines"):
             NetConfig(rpc_deadline_s=0.0)
-
-    def test_supervision_mirrors_retry_knobs(self):
-        sup = NetConfig(max_retries=5, backoff_base_s=0.3,
-                        backoff_cap_s=9.0).supervision()
-        assert (sup.max_retries, sup.backoff_base_s, sup.backoff_cap_s) == (
-            5, 0.3, 9.0)
+        with pytest.raises(ValueError, match="vnodes"):
+            NetConfig(vnodes=0)
 
 
 @needs_fork
@@ -383,6 +391,96 @@ class TestListenMode:
             client.close()
         server.join(timeout=60.0)
         assert not server.is_alive()
+
+    def test_malformed_client_input_disconnects_only_that_client(
+        self, baseline
+    ):
+        """Hostile frames get ``{"op": "error"}`` and a hangup — nothing
+        is unpickled, nothing raises out of the serve loop — and a
+        well-behaved client's shard still finishes with parity."""
+        task = _task("Venus")
+        door = FrontDoor([task], net=NetConfig(workers=1, queue_bound=4,
+                                               **FAST_NET))
+        ready = threading.Event()
+        out = {}
+
+        def _serve():
+            out["result"] = door.serve(host="127.0.0.1", port=0, ready=ready)
+
+        server = threading.Thread(target=_serve, daemon=True)
+        server.start()
+        assert ready.wait(timeout=30.0)
+        client = FrontDoorClient("127.0.0.1", door.port)
+        try:
+            assert client.request({"op": "open", "cluster": "Venus"})[
+                "op"] == "opened"
+            event = {"op": "event", "cluster": "Venus", "bi": 0,
+                     "time": 0.0}
+            hostile = [
+                b"J[1, 2]",                              # not an object
+                b"J" + json.dumps({"op": "event", "cluster": "Venus",
+                                   "kind": 2, "time": 0.0,
+                                   "refs": [0]}).encode(),  # no bi
+                b"J{not json",                           # undecodable
+                b"J\xff\xfe",                            # not UTF-8
+                b"J" + b"[" * 100_000,                   # nested too deep
+                b"P" + pickle.dumps(_Unpickled()),       # code in a pickle
+                # refs past the shard's job table / demand bins, and a
+                # node-fail event on a shard without node events
+                b"J" + json.dumps({**event, "kind": SUBMIT,
+                                   "refs": [0, 2**62]}).encode(),
+                b"J" + json.dumps({**event, "kind": NODE_SAMPLE,
+                                   "refs": [10**6]}).encode(),
+                b"J" + json.dumps({**event, "kind": NODE_FAIL,
+                                   "refs": []}).encode(),
+            ]
+            for body in hostile:
+                reply, rest = _raw_exchange(door.port, body)
+                assert reply["op"] == "error", (body, reply)
+                assert rest == b""  # one reply, then the server hung up
+            assert _UNPICKLED == []
+            batches = list(build_stream(task).batches(
+                task.config.batch_window_s))
+            for bi, batch in enumerate(batches):
+                assert client.send_event("Venus", bi, batch)["op"] == "accepted"
+            client.request({"op": "close", "cluster": "Venus"})
+            client.wait_done("Venus", timeout_s=300.0)
+        finally:
+            client.close()
+        server.join(timeout=60.0)
+        assert not server.is_alive()
+        reports, _ = out["result"]
+        assert parity_surface(reports) == baseline[0].parity_bytes()
+
+
+_UNPICKLED: list = []
+
+
+def _mark_unpickled(note):
+    _UNPICKLED.append(note)
+
+
+class _Unpickled:
+    """Unpickling this runs ``_mark_unpickled`` — proof a link decoded
+    a pickle it should have refused."""
+
+    def __reduce__(self):
+        return (_mark_unpickled, ("code ran in the server",))
+
+
+def _raw_exchange(port: int, body: bytes) -> tuple[dict, bytes]:
+    """Send one raw frame body; read the server's reply frame and
+    everything after it until the server hangs up."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30.0)
+    try:
+        sock.sendall(struct.pack(">I", len(body)) + body)
+        data = b""
+        while chunk := sock.recv(1 << 16):
+            data += chunk
+    finally:
+        sock.close()
+    (length,) = struct.unpack(">I", data[:4])
+    return unpack_json(data[4:4 + length]), data[4 + length:]
 
 
 #: refit-heavy policy for the replication tests: the smoke config's

@@ -1,7 +1,7 @@
 """Chaos coverage for the obs layer: spans/metrics must survive
-SIGKILLed workers and checkpoint-resume without double-counting, and
-the fork-unavailable in-process supervisor must report the same metric
-totals as real forked supervision.
+SIGKILLed router workers and checkpoint-resume without double-counting,
+and the router's in-process passthrough (no fork) must report the same
+metric totals as a forked worker pool.
 
 The comparison surface is the published ``serve.*`` counters, which the
 server derives from its checkpointed loop state exactly once at the end
@@ -15,31 +15,20 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.framework import (
-    FaultPlan,
-    FaultSpec,
-    Supervision,
-    SupervisionLog,
-    fork_available,
-)
-from repro.serve import ShardTask
-from repro.serve.runtime import run_shard
-from repro.framework.supervise import run_supervised
+from repro.framework import FaultPlan, FaultSpec, SupervisionLog, fork_available
+from repro.serve import NetConfig, serve_clusters_net
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
-FAST_SUP = Supervision(
-    timeout_s=120.0,
+FAST_NET = NetConfig(
+    workers=1,
     max_retries=2,
     backoff_base_s=0.001,
     backoff_cap_s=0.01,
     poll_interval_s=0.005,
 )
 
-_TASK = ShardTask(
-    cluster="Venus", history_days=14, stream_days=1.0, max_jobs=400,
-    checkpoint_every=50,
-)
+_TASK = dict(history_days=14, stream_days=1.0, max_jobs=400, checkpoint_every=50)
 
 _CRASH_PLAN = FaultPlan(
     seed=7, faults=(FaultSpec(key="Venus", kind="crash", at=130),)
@@ -59,102 +48,86 @@ def _serve_counters(snap) -> dict:
     return {k: v for k, v in snap.counters.items() if k.startswith("serve.")}
 
 
-def _supervised_run(fault_plan):
+def _routed_run(fault_plan):
+    from repro.experiments.serving import smoke_serve_config
+
     log = SupervisionLog()
-    reports = run_supervised(
-        run_shard, [_TASK], jobs=1, labels=["Venus"],
-        supervision=FAST_SUP, fault_plan=fault_plan,
-        with_context=True, log=log,
+    (report,), _ = serve_clusters_net(
+        ["Venus"], smoke_serve_config(), **_TASK, net=FAST_NET,
+        fault_plan=fault_plan, log=log,
     )
-    return reports[0], log
+    return report, log
 
 
 @needs_fork
 class TestCrashRecoveryObsParity:
     def test_sigkill_resume_totals_match_clean_run(self):
-        """A SIGKILLed attempt's obs state dies with the fork; the
-        resumed attempt republishes full totals from its checkpointed
-        state — so a chaos run's serve.* counters equal a clean run's
-        (replayed batches are not double-counted)."""
+        """A SIGKILLed worker's obs state dies with it; the resumed
+        attempt republishes full totals from its checkpointed state —
+        so a chaos run's serve.* counters equal a clean run's (replayed
+        batches are not double-counted)."""
         obs.enable()
-        report_chaos, log = _supervised_run(_CRASH_PLAN)
+        report_chaos, log = _routed_run(_CRASH_PLAN)
         chaos = _serve_counters(obs.snapshot())
         assert [e[2] for e in log.events] == ["crash", "ok"]
         assert chaos  # the resumed attempt did publish
 
         obs.reset()
         obs.enable()
-        report_clean, _ = _supervised_run(None)
+        report_clean, _ = _routed_run(None)
         clean = _serve_counters(obs.snapshot())
 
         assert chaos == clean
         assert report_chaos.parity_bytes() == report_clean.parity_bytes()
 
     def test_supervisor_plane_saw_the_crash(self):
+        """The router is the supervisor plane: its recovery counters
+        record the hangup, the respawn and the reroute."""
         obs.enable()
-        _, _ = _supervised_run(_CRASH_PLAN)
+        _routed_run(_CRASH_PLAN)
         snap = obs.snapshot()
-        assert snap.counters["supervise.attempts"] == 2
-        assert snap.counters["supervise.outcome.crash"] == 1
-        assert snap.counters["supervise.outcome.ok"] == 1
-        attempts = [s for s in snap.spans if s.name == "supervise.attempt"]
-        assert sorted(s.attrs["outcome"] for s in attempts) == ["crash", "ok"]
-        # The dead attempt's serve.run span died with its fork; only the
+        assert snap.counters["net.link_down.hangup"] == 1
+        assert snap.counters["net.respawns"] == 1
+        assert snap.counters["net.reroutes"] == 1
+        # The dead worker's serve.run span died with it; only the
         # resumed attempt's shard spans survive.
         assert sum(1 for s in snap.spans if s.name == "serve.run") == 1
 
     def test_disabled_obs_changes_nothing(self):
         """Chaos runs with obs off produce the identical report (the
         whole layer is out-of-band)."""
-        report_off, _ = _supervised_run(_CRASH_PLAN)
+        report_off, _ = _routed_run(_CRASH_PLAN)
         assert obs.snapshot().empty
         obs.enable()
-        report_on, _ = _supervised_run(_CRASH_PLAN)
+        report_on, _ = _routed_run(_CRASH_PLAN)
         assert report_off.parity_bytes() == report_on.parity_bytes()
 
 
 @needs_fork
 class TestInProcessFallbackParity:
     def test_inprocess_fallback_same_metric_totals(self, monkeypatch):
-        """The daemonic-pool fallback (simulated crash + explicit
-        attempt isolation) must publish the same serve.* totals as real
-        forked supervision under the same fault plan."""
+        """Without fork the router serves the shard in-process (its
+        passthrough rung), where a plan's process faults have no worker
+        to kill: it must publish the same serve.* totals as the forked
+        run that crashed and resumed."""
         obs.enable()
-        report_forked, forked_log = _supervised_run(_CRASH_PLAN)
+        report_forked, forked_log = _routed_run(_CRASH_PLAN)
         forked = _serve_counters(obs.snapshot())
 
-        import repro.framework.supervise as sup_mod
+        import repro.serve.net.router as router_mod
 
-        monkeypatch.setattr(sup_mod, "fork_available", lambda: False)
+        monkeypatch.setattr(router_mod, "fork_available", lambda: False)
         obs.reset()
         obs.enable()
-        report_inproc, inproc_log = _supervised_run(_CRASH_PLAN)
+        report_inproc, inproc_log = _routed_run(_CRASH_PLAN)
         inproc = _serve_counters(obs.snapshot())
 
-        assert forked_log.events == inproc_log.events
+        assert [e[2] for e in forked_log.events] == ["crash", "ok"]
+        assert inproc_log.events == [("Venus", 0, "ok")]
+        # The passthrough is the last rung — nothing could resume from
+        # a checkpoint it took — so it takes none; every other total
+        # matches.
+        assert forked.pop("serve.checkpoints") > 0
+        assert inproc.pop("serve.checkpoints", 0) == 0
         assert forked == inproc
         assert report_forked.parity_bytes() == report_inproc.parity_bytes()
-
-    def test_inprocess_failed_attempt_metrics_discarded(self, monkeypatch):
-        """A simulated crash's partial metrics must not leak into the
-        run-wide view — only supervisor-plane counters record it."""
-        import repro.framework.supervise as sup_mod
-
-        monkeypatch.setattr(sup_mod, "fork_available", lambda: False)
-        obs.enable()
-        _, log = _supervised_run(_CRASH_PLAN)
-        snap = obs.snapshot()
-        assert [e[2] for e in log.events] == ["crash", "ok"]
-        # serve.run spans: only the successful (resumed) attempt's.
-        assert sum(1 for s in snap.spans if s.name == "serve.run") == 1
-        assert snap.counters["supervise.outcome.crash"] == 1
-
-        obs.reset()
-        obs.enable()
-        _, _ = _supervised_run(None)
-        clean = _serve_counters(obs.snapshot())
-        obs.reset()
-        obs.enable()
-        _, _ = _supervised_run(_CRASH_PLAN)
-        chaos = _serve_counters(obs.snapshot())
-        assert chaos == clean

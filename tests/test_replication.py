@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.framework import ModelUpdateEngine, PredictionService, UpdatePolicy
-from repro.framework.supervise import Supervision, backoff_delay
+from repro.framework.supervise import backoff_delay
 from repro.serve import ShardTask
 from repro.serve.net import FrontDoorClient, ModelUpdateHub, replica_slice
 from repro.serve.stream import FINISH, NODE_SAMPLE, SUBMIT, EventBatch
@@ -284,10 +284,9 @@ class TestFrontDoorClientRetry:
         """A socketless client whose request() pops canned replies and
         whose sleeps are recorded instead of taken."""
         client = FrontDoorClient.__new__(FrontDoorClient)
-        client._sup = Supervision(
-            timeout_s=None, max_retries=max_retries,
-            backoff_base_s=0.01, backoff_cap_s=0.05,
-        )
+        client.max_retries = max_retries
+        client.retry_base_s = 0.01
+        client.retry_cap_s = 0.05
         sleeps = []
         monkeypatch.setattr(client, "request", lambda msg: replies.pop(0))
         monkeypatch.setattr(time, "sleep", sleeps.append)
@@ -307,14 +306,14 @@ class TestFrontDoorClientRetry:
         reply = client.send_event("Venus", 0, self._batch())
         assert reply["op"] == "accepted"
         assert len(sleeps) == 2
-        sup = client._sup
+        cap = client.retry_cap_s
         # Each wait honors the server hint, rides the shared
         # deterministic backoff, and never exceeds the cap.
         for attempt, slept in enumerate(sleeps, start=1):
-            expected = max(
-                0.02, backoff_delay(f"frontdoor:Venus:{0}", attempt, sup))
-            assert slept == min(expected, sup.backoff_cap_s)
-            assert slept <= sup.backoff_cap_s
+            expected = max(0.02, backoff_delay(
+                f"frontdoor:Venus:{0}", attempt, client.retry_base_s, cap))
+            assert slept == min(expected, cap)
+            assert slept <= cap
 
     def test_gives_up_with_clear_error_after_budget(self, monkeypatch):
         busy = {"op": "busy", "retry_after_s": 0.3}
@@ -323,4 +322,4 @@ class TestFrontDoorClientRetry:
             client.send_event("Venus", 7, self._batch())
         assert len(sleeps) == 3  # no sleep after the final attempt
         # The 0.3s hint is clamped to the cap: give-up is prompt.
-        assert all(s == client._sup.backoff_cap_s for s in sleeps)
+        assert all(s == client.retry_cap_s for s in sleeps)

@@ -2,10 +2,12 @@
 
 ``--fault-plan`` must never dump a traceback: every malformed input —
 missing file, unreadable path, broken JSON, invalid plan — exits
-nonzero with a one-line diagnostic.  The retry knobs (`--max-retries`,
-``--retry-base``, ``--retry-cap``) thread into the supervisor's
-:class:`~repro.framework.Supervision` and the net router's
-:class:`~repro.serve.NetConfig` from one set of flags.
+nonzero with a one-line diagnostic.  ``--fault-plan`` and
+``--checkpoint-every`` select the net router, the one supervised
+serving plane, and the retry knobs (``--max-retries``,
+``--retry-base``, ``--retry-cap``) thread into its
+:class:`~repro.serve.NetConfig`.  ``--speedup`` paces in-process
+serving only, so the router-plane flags reject it.
 """
 
 import json
@@ -81,6 +83,21 @@ class TestMainExitCodes:
     def test_bad_retry_knobs_exit_2(self, capsys):
         assert main(["--max-retries", "-1"]) == 2
         assert "bad retry knobs" in _one_line_error(capsys)
+        assert main(["--retry-base", "-0.5"]) == 2
+        assert "bad retry knobs" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("flags", [
+        ["--net"],
+        ["--listen", "0"],
+        ["--connect", "127.0.0.1:9"],
+        ["--checkpoint-every", "50"],
+        ["--fault-plan", '{"faults": []}'],
+    ])
+    def test_speedup_rejected_on_router_plane(self, capsys, flags):
+        """The router replays as fast as possible; --speedup there
+        would be silently ignored, so it is an error instead."""
+        assert main(["--clusters", "Venus", "--speedup", "3600", *flags]) == 2
+        assert "--speedup" in _one_line_error(capsys)
 
     def test_unknown_cluster_exits_2_with_hint(self, capsys):
         assert main(["--clusters", "Venos"]) == 2
@@ -112,41 +129,49 @@ class _FakeReport:
     refits: dict = {}
 
 
+def _capture_net_serve(monkeypatch) -> dict:
+    """Stub the router run; returns the dict its kwargs land in."""
+    import repro.serve.net as net_mod
+    from repro.serve import NetStats
+
+    captured = {}
+
+    def fake_serve(clusters, config, **kw):
+        captured["clusters"] = list(clusters)
+        captured["config"] = config
+        captured.update(kw)
+        return [_FakeReport()], NetStats()
+
+    monkeypatch.setattr(net_mod, "serve_clusters_net", fake_serve)
+    return captured
+
+
 class TestKnobPlumbing:
     def test_retry_knobs_flow_into_supervision(self, monkeypatch, capsys):
-        import repro.serve.__main__ as cli
-
-        captured = {}
-
-        def fake_serve(clusters, **kw):
-            captured.update(kw)
-            return [_FakeReport()]
-
-        monkeypatch.setattr(cli, "serve_clusters", fake_serve)
-        rc = main(["--clusters", "Venus", "--supervised", "-q",
+        """The retry flags configure the router that supervises the
+        shards."""
+        captured = _capture_net_serve(monkeypatch)
+        rc = main(["--clusters", "Venus", "--net", "-q",
                    "--max-retries", "7", "--retry-base", "0.2",
                    "--retry-cap", "3.5"])
         assert rc == 0
-        sup = captured["supervision"]
-        assert (sup.max_retries, sup.backoff_base_s, sup.backoff_cap_s) == (
+        net = captured["net"]
+        assert (net.max_retries, net.backoff_base_s, net.backoff_cap_s) == (
             7, 0.2, 3.5)
         capsys.readouterr()
 
     def test_fault_plan_implies_supervised(self, monkeypatch, capsys):
-        import repro.serve.__main__ as cli
-
+        """--fault-plan (and --checkpoint-every) select the router, the
+        supervised plane, without --net."""
         plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="crash", at=1),))
-        captured = {}
-
-        def fake_serve(clusters, **kw):
-            captured.update(kw)
-            return [_FakeReport()]
-
-        monkeypatch.setattr(cli, "serve_clusters", fake_serve)
+        captured = _capture_net_serve(monkeypatch)
         assert main(["--clusters", "Venus", "-q",
                      "--fault-plan", plan.to_json()]) == 0
-        assert captured["supervised"] is True
         assert captured["fault_plan"] == plan
+        captured.clear()
+        assert main(["--clusters", "Venus", "-q",
+                     "--checkpoint-every", "25"]) == 0
+        assert captured["checkpoint_every"] == 25
         capsys.readouterr()
 
     def test_net_flags_parse(self):
@@ -155,18 +180,7 @@ class TestKnobPlumbing:
         assert (args.net, args.workers, args.queue_bound) == (True, 3, 9)
 
     def test_replication_flags_flow_into_net_serve(self, monkeypatch, capsys):
-        import repro.serve.net as net_mod
-        from repro.serve import NetStats
-
-        captured = {}
-
-        def fake_serve(clusters, config, **kw):
-            captured["clusters"] = list(clusters)
-            captured["config"] = config
-            captured.update(kw)
-            return [_FakeReport()], NetStats()
-
-        monkeypatch.setattr(net_mod, "serve_clusters_net", fake_serve)
+        captured = _capture_net_serve(monkeypatch)
         rc = main(["--clusters", "Venus", "--net", "-q",
                    "--replicas", "3", "--replicate", "central"])
         assert rc == 0

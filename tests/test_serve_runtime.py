@@ -144,17 +144,6 @@ class TestServeClusters:
             assert a.events == b.events
         assert all(r.events > 0 for r in serial)
 
-    def test_supervised_fault_free_matches_plain(self, frozen_config):
-        """Supervision must be a pure wrapper: a fault-free supervised
-        run's parity surface equals the bare fan-out's."""
-        plain = serve_clusters(("Venus",), config=frozen_config, jobs=1, **_TASK)
-        supervised = serve_clusters(
-            ("Venus",), config=frozen_config, jobs=1, supervised=True, **_TASK
-        )
-        assert supervised[0].parity_bytes() == plain[0].parity_bytes()
-        assert supervised[0].retries == 0
-        assert "retries" not in supervised[0].as_dict()
-
     def test_reports_carry_telemetry(self, frozen_config):
         (report,) = serve_clusters(
             ("Venus",), config=frozen_config, jobs=1, **_TASK

@@ -1,6 +1,13 @@
-"""Supervised worker pool: retries, timeouts, checkpoints, fault modes."""
+"""Shard supervision: backoff, fault firing, and the router's recovery
+of crashed, hung and failing shard workers.
 
-import os
+The serve-net router is the one supervised execution plane.  Every
+attempt at serving a shard ends in one ``SupervisionLog`` event —
+``crash`` when its worker hung up, ``timeout`` when a deadline or the
+heartbeat expired, ``ok`` when its report arrived — and a recovered
+shard's parity surface equals the never-failed run's.
+"""
+
 import time
 
 import pytest
@@ -8,220 +15,194 @@ import pytest
 from repro.framework import (
     FaultPlan,
     FaultSpec,
-    Supervision,
     SupervisionLog,
-    WorkerError,
-    WorkerFailure,
+    TransientWorkerFault,
+    WorkerContext,
     fork_available,
-    run_supervised,
 )
 from repro.framework.supervise import backoff_delay
+from repro.obs import collect as obs
+from repro.serve import NetConfig, ShardTask, build_shard, serve_clusters_net
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="requires os.fork"
 )
 
-FAST = Supervision(
-    timeout_s=10.0, max_retries=2, backoff_base_s=0.001,
-    backoff_cap_s=0.01, poll_interval_s=0.005,
+_TASK = dict(history_days=14, stream_days=1.0, max_jobs=400)
+
+#: one worker, fast backoff; individual tests override deadlines
+FAST = dict(
+    workers=1, max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01,
+    poll_interval_s=0.005,
 )
 
 
-def _double(x):
-    return 2 * x
+def _config():
+    from repro.experiments.serving import smoke_serve_config
+
+    return smoke_serve_config()
 
 
-def _boom(x):
-    if x == 3:
-        raise ValueError(f"boom on {x}")
-    return x
+@pytest.fixture(scope="module")
+def baseline():
+    """Never-failed direct runs, by cluster."""
+    out = {}
+    for cluster in ("Venus", "Uranus"):
+        server, stream = build_shard(
+            ShardTask(cluster=cluster, config=_config(), **_TASK)
+        )
+        out[cluster] = server.run(stream)
+    return out
 
 
-def _ctx_task(x, ctx):
-    """Checkpoint-aware task: resumes from a saved partial sum."""
-    base = ctx.checkpoint or 0
-    ctx.save(base + x)
-    ctx.maybe_fault(0)
-    return base + 10 * x
+def _routed(clusters=("Venus",), plan=None, **net):
+    log = SupervisionLog()
+    reports, stats = serve_clusters_net(
+        clusters, _config(), **_TASK, checkpoint_every=50, fault_plan=plan,
+        net=NetConfig(**{**FAST, **net}), log=log,
+    )
+    return reports, stats, log
+
+
+def _events(log, label):
+    return [(a, o) for lbl, a, o in log.events if lbl == label]
 
 
 class TestSupervisionKnobs:
     def test_validation(self):
-        with pytest.raises(ValueError, match="timeout_s"):
-            Supervision(timeout_s=0)
+        """The retry, backoff and liveness knobs live on NetConfig."""
+        with pytest.raises(ValueError, match="deadlines"):
+            NetConfig(resume_deadline_s=0.0)
         with pytest.raises(ValueError, match="heartbeat"):
-            Supervision(heartbeat_timeout_s=-1)
+            NetConfig(heartbeat_timeout_s=-1.0)
         with pytest.raises(ValueError, match="max_retries"):
-            Supervision(max_retries=-1)
+            NetConfig(max_retries=-1)
         with pytest.raises(ValueError, match="poll_interval"):
-            Supervision(poll_interval_s=0)
+            NetConfig(poll_interval_s=0.0)
+        with pytest.raises(ValueError, match="backoff"):
+            NetConfig(backoff_base_s=-0.1)
+        with pytest.raises(ValueError, match="backoff"):
+            NetConfig(backoff_cap_s=-1.0)
+        NetConfig(backoff_base_s=0.0, backoff_cap_s=0.0, heartbeat_timeout_s=None)
 
     def test_backoff_deterministic_and_bounded(self):
-        sup = Supervision(backoff_base_s=0.1, backoff_cap_s=1.0)
-        assert backoff_delay("x", 0, sup) == 0.0
-        d1 = backoff_delay("x", 1, sup)
-        d2 = backoff_delay("x", 2, sup)
+        assert backoff_delay("x", 0, 0.1, 1.0) == 0.0
+        d1 = backoff_delay("x", 1, 0.1, 1.0)
+        d2 = backoff_delay("x", 2, 0.1, 1.0)
         # same inputs, same jitter — no wall clock involved
-        assert d1 == backoff_delay("x", 1, sup)
-        assert d1 != backoff_delay("y", 1, sup)
+        assert d1 == backoff_delay("x", 1, 0.1, 1.0)
+        assert d1 != backoff_delay("y", 1, 0.1, 1.0)
         assert 0.1 <= d1 <= 0.2
         assert 0.2 <= d2 <= 0.4
-        assert backoff_delay("x", 30, sup) == 1.0
+        assert backoff_delay("x", 30, 0.1, 1.0) == 1.0
 
 
+@needs_fork
 class TestHappyPath:
-    def test_matches_plain_map(self):
-        assert run_supervised(_double, [1, 2, 3], supervision=FAST) == [2, 4, 6]
-
-    def test_jobs_many(self):
-        out = run_supervised(_double, list(range(8)), jobs=4, supervision=FAST)
-        assert out == [2 * i for i in range(8)]
+    def test_matches_plain_map(self, baseline):
+        """Supervision is a pure wrapper: a fault-free routed shard
+        equals the direct run and reports no retries."""
+        (report,), stats, log = _routed()
+        assert report.parity_bytes() == baseline["Venus"].parity_bytes()
+        assert log.events == [("Venus", 0, "ok")]
+        assert report.retries == 0
+        assert "retries" not in report.as_dict()
+        assert stats.reroutes == 0 and stats.link_failures == 0
 
     def test_empty_items(self):
-        assert run_supervised(_double, [], supervision=FAST) == []
+        reports, stats, log = _routed(clusters=())
+        assert reports == [] and log.events == []
+        assert stats.frames_sent == 0
 
 
+@needs_fork
 class TestErrorPaths:
-    def test_remote_traceback_and_item_preserved(self):
-        log = SupervisionLog()
-        with pytest.raises(WorkerError) as excinfo:
-            run_supervised(_boom, [1, 2, 3, 4], supervision=FAST, log=log)
-        err = excinfo.value
-        assert err.item == "2"  # label of the failing item (index)
-        assert "boom on 3" in str(err)
-        assert err.remote_traceback is None or "boom on 3" in err.remote_traceback
-        # error attempts exhausted the retry budget
-        assert err.attempts == FAST.max_retries + 1
-
-    def test_failures_isolated_per_item(self):
-        """strict=False: siblings' results survive a dead item."""
-        out = run_supervised(
-            _boom, [1, 2, 3, 4], supervision=FAST, strict=False
-        )
-        assert out[0] == 1 and out[1] == 2 and out[3] == 4
-        assert isinstance(out[2], WorkerFailure)
-        assert out[2].outcome == "error"
-
-    def test_strict_error_still_carries_all_results(self):
-        with pytest.raises(WorkerError) as excinfo:
-            run_supervised(_boom, [3, 1], supervision=FAST)
-        assert excinfo.value.results[1] == 1
-
-    def test_labels_length_checked(self):
-        with pytest.raises(ValueError, match="labels"):
-            run_supervised(_double, [1, 2], labels=["only-one"], supervision=FAST)
+    def test_failures_isolated_per_item(self, baseline):
+        """Isolation is per worker process: killing Venus's worker
+        (w1 on the 2-worker ring) leaves Uranus's attempt on w0 alone."""
+        plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="crash", at=130),))
+        reports, _, log = _routed(("Venus", "Uranus"), plan, workers=2)
+        assert _events(log, "Venus") == [(0, "crash"), (1, "ok")]
+        assert _events(log, "Uranus") == [(0, "ok")]
+        assert [r.retries for r in reports] == [1, 0]
+        for report in reports:
+            assert report.parity_bytes() == baseline[report.cluster].parity_bytes()
 
 
+@needs_fork
 class TestInjectedFaults:
-    def test_transient_exception_retried_to_success(self):
-        # exception fires only on attempt 0; attempt 1 succeeds
-        plan = FaultPlan(faults=(FaultSpec(key="0", kind="exception", at=0),))
-        log = SupervisionLog()
-        out = run_supervised(
-            _ctx_task, [5], supervision=FAST, fault_plan=plan,
-            with_context=True, log=log,
-        )
-        assert out == [55]  # checkpoint (5) + 10*5 on the retry
-        assert [(lbl, a, o) for lbl, a, o in log.events] == [
-            ("0", 0, "error"), ("0", 1, "ok"),
-        ]
-        assert log.retries() == 1
+    def test_transient_exception_retried_to_success(self, baseline):
+        """An exception kills the worker process; the router sees the
+        hangup and resumes the shard on the respawned worker."""
+        plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="exception", at=130),))
+        (report,), stats, log = _routed(plan=plan)
+        assert log.events == [("Venus", 0, "crash"), ("Venus", 1, "ok")]
+        assert log.retries() == report.retries == 1
+        assert stats.respawns == 1
+        assert report.parity_bytes() == baseline["Venus"].parity_bytes()
 
-    def test_corrupt_payload_retried(self):
-        plan = FaultPlan(faults=(FaultSpec(key="0", kind="corrupt"),))
-        log = SupervisionLog()
-        out = run_supervised(
-            _double, [4], supervision=FAST, fault_plan=plan, log=log
-        )
-        assert out == [8]
-        assert log.events[0] == ("0", 0, "corrupt")
-        assert log.events[-1] == ("0", 1, "ok")
-
-    def test_validate_hook_marks_corrupt(self):
-        def reject_odd(result):
-            if result % 2:
-                raise ValueError("odd payload")
-
-        log = SupervisionLog()
-        with pytest.raises(WorkerError, match="corrupt"):
-            run_supervised(
-                lambda x: x, [3], supervision=FAST, validate=reject_odd, log=log
-            )
-        assert all(o in ("corrupt", "failed") for _, _, o in log.events)
-
-    def test_exhausted_retries_terminal(self):
-        plan = FaultPlan(
-            faults=tuple(
-                FaultSpec(key="0", kind="exception", attempt=a, at=0)
-                for a in range(FAST.max_retries + 1)
-            )
-        )
-        log = SupervisionLog()
-        with pytest.raises(WorkerError, match="failed after 3 attempt"):
-            run_supervised(
-                _ctx_task, [1], supervision=FAST, fault_plan=plan,
-                with_context=True, log=log,
-            )
-        assert log.events[-1][2] == "failed"
+    def test_exhausted_retries_terminal(self, baseline):
+        """With no respawn budget the dead worker stays down and the
+        shard takes the last rung: the router serves it in-process from
+        its checkpoint."""
+        plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="crash", at=130),))
+        (report,), stats, log = _routed(plan=plan, max_retries=0)
+        assert log.events == [("Venus", 0, "crash"), ("Venus", 1, "ok")]
+        assert stats.respawns == 0 and stats.passthroughs == 1
+        assert report.parity_bytes() == baseline["Venus"].parity_bytes()
 
 
 @needs_fork
 class TestForkedCrashes:
-    def test_sigkill_crash_recovers_from_checkpoint(self):
-        plan = FaultPlan(faults=(FaultSpec(key="a", kind="crash", at=0),))
-        log = SupervisionLog()
-        out = run_supervised(
-            _ctx_task, [2], labels=["a"], supervision=FAST,
-            fault_plan=plan, with_context=True, log=log,
-        )
-        # attempt 0 saved checkpoint 2 then died; attempt 1 resumed: 2 + 20
-        assert out == [22]
-        assert log.events == [("a", 0, "crash"), ("a", 1, "ok")]
+    def test_sigkill_crash_recovers_from_checkpoint(self, baseline):
+        """Two SIGKILLs on consecutive attempts: each resumed attempt
+        restarts from the latest checkpoint it was handed."""
+        plan = FaultPlan(faults=(
+            FaultSpec(key="Venus", kind="crash", attempt=0, at=60),
+            FaultSpec(key="Venus", kind="crash", attempt=1, at=130),
+        ))
+        (report,), stats, log = _routed(plan=plan)
+        assert log.events == [
+            ("Venus", 0, "crash"), ("Venus", 1, "crash"), ("Venus", 2, "ok"),
+        ]
+        assert report.retries == 2 and stats.respawns == 2
+        assert report.parity_bytes() == baseline["Venus"].parity_bytes()
 
-    def test_hang_killed_by_timeout(self):
-        plan = FaultPlan(faults=(FaultSpec(key="0", kind="hang", at=0),))
-        sup = Supervision(
-            timeout_s=0.3, max_retries=1, backoff_base_s=0.001,
-            backoff_cap_s=0.01, poll_interval_s=0.01,
-        )
-        log = SupervisionLog()
+    def test_hang_killed_by_timeout(self, baseline):
+        """A hung worker stops acking: the RPC deadline expires past the
+        retry budget, the router kills it and resumes the shard."""
+        plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="hang", at=130),))
         t0 = time.monotonic()
-        out = run_supervised(
-            _ctx_task, [1], supervision=sup, fault_plan=plan,
-            with_context=True, log=log,
-        )
-        assert time.monotonic() - t0 < 5.0
-        assert out == [11]
-        assert log.events[0][2] == "timeout"
+        (report,), stats, log = _routed(plan=plan, rpc_deadline_s=1.0)
+        assert time.monotonic() - t0 < 60.0
+        assert log.events == [("Venus", 0, "timeout"), ("Venus", 1, "ok")]
+        assert stats.retries >= 3
+        assert report.parity_bytes() == baseline["Venus"].parity_bytes()
 
-    def test_heartbeat_timeout_enforced(self):
-        def silent_sleep(x):
-            time.sleep(1.0)
-            return x
-
-        sup = Supervision(
-            timeout_s=30.0, heartbeat_timeout_s=0.2, max_retries=0,
-            backoff_base_s=0.001, poll_interval_s=0.01,
-        )
-        t0 = time.monotonic()
-        with pytest.raises(WorkerError, match="timeout"):
-            run_supervised(silent_sleep, [1], supervision=sup)
-        assert time.monotonic() - t0 < 5.0
-
-
-@needs_fork
-def _stepper(x, ctx):
-    for progress in range(3):
-        ctx.maybe_fault(progress)
-    return x + 1
+    def test_heartbeat_timeout_enforced(self, baseline):
+        """With heartbeats on, a hung worker that stops answering pings
+        is taken down on heartbeat expiry, well before its RPC deadline."""
+        obs.reset()
+        obs.enable()
+        try:
+            plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="hang", at=130),))
+            t0 = time.monotonic()
+            (report,), _, log = _routed(plan=plan, heartbeat_timeout_s=3.0)
+            wall = time.monotonic() - t0
+            counters = obs.snapshot().counters
+        finally:
+            obs.reset()
+            obs.disable()
+        assert wall < 50.0  # the 60 s RPC deadline never fired
+        assert counters["net.link_down.heartbeat"] == 1
+        assert log.events == [("Venus", 0, "timeout"), ("Venus", 1, "ok")]
+        assert report.parity_bytes() == baseline["Venus"].parity_bytes()
 
 
 class TestMultiFaultAttempts:
     def test_context_fires_every_planned_fault(self):
         """One attempt may stack several faults: the startup one fires
         in fire_startup_faults, the indexed one at its progress."""
-        from repro.framework import TransientWorkerFault, WorkerContext
-
         plan = FaultPlan(faults=(
             FaultSpec(key="m", kind="slow_start", delay_s=0.0),
             FaultSpec(key="m", kind="exception", at=2),
@@ -234,45 +215,19 @@ class TestMultiFaultAttempts:
         with pytest.raises(TransientWorkerFault):
             ctx.maybe_fault(2)
 
-    def test_multi_fault_plan_under_inprocess_fallback(self, monkeypatch):
-        """A stacked plan drives the daemonic fallback through the same
-        retry flow the forked supervisor takes."""
-        import repro.framework.supervise as sup_mod
+    def test_multi_fault_plan_under_inprocess_fallback(self, baseline, monkeypatch):
+        """Without fork the router serves in-process, where there is no
+        worker process to slow, fail or kill: a stacked process-fault
+        plan fires nothing and the single attempt succeeds."""
+        import repro.serve.net.router as router_mod
 
-        monkeypatch.setattr(sup_mod, "fork_available", lambda: False)
+        monkeypatch.setattr(router_mod, "fork_available", lambda: False)
         plan = FaultPlan(faults=(
-            FaultSpec(key="s", kind="slow_start", delay_s=0.001),
-            FaultSpec(key="s", kind="exception", at=1),
+            FaultSpec(key="Venus", kind="slow_start", delay_s=0.001),
+            FaultSpec(key="Venus", kind="exception", at=1),
+            FaultSpec(key="Venus", kind="crash", at=130),
         ))
-        log = SupervisionLog()
-        out = run_supervised(
-            _stepper, [5], labels=["s"], supervision=FAST,
-            fault_plan=plan, with_context=True, log=log,
-        )
-        assert out == [6]
-        assert [(lbl, a, o) for lbl, a, o in log.events] == [
-            ("s", 0, "error"), ("s", 1, "ok"),
-        ]
-
-
-class TestModeParity:
-    def test_inprocess_fallback_same_outcomes(self, monkeypatch):
-        """The daemonic-pool fallback replays the same outcome strings
-        and checkpoint flow as real forked supervision."""
-        plan = FaultPlan(faults=(FaultSpec(key="a", kind="crash", at=0),))
-
-        forked_log = SupervisionLog()
-        forked = run_supervised(
-            _ctx_task, [2], labels=["a"], supervision=FAST,
-            fault_plan=plan, with_context=True, log=forked_log,
-        )
-
-        import repro.framework.supervise as sup_mod
-        monkeypatch.setattr(sup_mod, "fork_available", lambda: False)
-        inproc_log = SupervisionLog()
-        inproc = run_supervised(
-            _ctx_task, [2], labels=["a"], supervision=FAST,
-            fault_plan=plan, with_context=True, log=inproc_log,
-        )
-        assert forked == inproc
-        assert forked_log.events == inproc_log.events
+        (report,), stats, log = _routed(plan=plan)
+        assert log.events == [("Venus", 0, "ok")]
+        assert stats.passthroughs == 1
+        assert report.parity_bytes() == baseline["Venus"].parity_bytes()
