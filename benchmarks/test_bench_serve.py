@@ -396,80 +396,3 @@ def test_net_router_overhead(capsys):
         f"router overhead {overhead:+.1%} is far beyond the {budget:.0%} budget"
     )
 
-
-@needs_fork
-def test_net_replication_fit_savings(capsys):
-    """Central replication trains each refit once for the whole replica
-    group; local mode trains it once *per replica*.  With K replicas and
-    V refit versions the fit counts are exactly V vs K·V — deterministic,
-    so the assert is on counts; the measured fit seconds ride along in
-    the BENCH line as the CPU-savings evidence.
-
-    The config forces real model work (lam=0.5 + a GBDT, unlike the
-    smoke config whose lam=1.0 skips the learned half) and a buffered-
-    observation refit trigger small enough to fire several versions
-    inside the streamed window.
-    """
-    from dataclasses import replace
-
-    from repro.experiments import common
-    from repro.experiments.serving import smoke_serve_config
-    from repro.serve import NetConfig, ShardTask
-    from repro.serve.net import FrontDoor
-
-    replicas = 3
-    cfg = replace(
-        smoke_serve_config(),
-        lam=0.5,
-        qssf_gbdt=GBDTParams(n_estimators=30, max_depth=4, min_samples_leaf=5),
-        update_max_buffered=120,
-    )
-    common.cluster_gpu_trace("Venus")  # warm outside the timed arms
-
-    def arm(replicate: str):
-        tasks = [
-            ShardTask(cluster="Venus", config=replace(cfg, replicate=replicate),
-                      replica_index=j, replica_count=replicas, **_NET_TASK)
-            for j in range(replicas)
-        ]
-        door = FrontDoor(tasks, net=NetConfig(workers=2, queue_bound=32))
-        t0 = time.perf_counter()
-        reports, stats = door.run()
-        wall = time.perf_counter() - t0
-        return reports, stats, door.router.hub, wall
-
-    local_reports, _, _, local_wall = arm("local")
-    central_reports, central_stats, hub, central_wall = arm("central")
-
-    local_fits = sum(r.fits["qssf"]["count"] for r in local_reports)
-    local_fit_s = sum(r.fits["qssf"]["seconds"] for r in local_reports)
-    worker_fits = sum(r.fits["qssf"]["count"] for r in central_reports)
-    hub_fits = hub.fits_performed("Venus", "qssf")
-    hub_fit_s = hub.fit_seconds("Venus", "qssf")
-    versions = central_reports[0].refits["qssf"]["refits"]
-
-    _bench_line(
-        {
-            "bench": "serve_net_replication",
-            "replicas": replicas,
-            "refit_versions": versions,
-            "fits_local": local_fits,
-            "fits_central": worker_fits + hub_fits,
-            "fit_s_local": round(local_fit_s, 4),
-            "fit_s_central": round(hub_fit_s, 4),
-            "wall_local_s": round(local_wall, 4),
-            "wall_central_s": round(central_wall, 4),
-            "snapshot_bytes": central_stats.snapshot_bytes,
-        },
-        capsys,
-    )
-    assert versions >= 2, "refit policy never fired — bench is vacuous"
-    # Local mode pays K fits per version; central pays exactly one.
-    assert local_fits == replicas * versions
-    assert worker_fits == 0, "delegated replicas must not fit locally"
-    assert hub_fits == versions
-    assert central_stats.model_syncs == versions
-    assert hub_fits + worker_fits <= local_fits // replicas, (
-        f"central mode performed {hub_fits + worker_fits} fits vs "
-        f"{local_fits} across {replicas} local replicas — no savings"
-    )

@@ -19,24 +19,10 @@ Two refresh paths exist since the incremental-evaluation protocol:
 
 ``mode="auto"`` (the default) picks incremental whenever it is valid and
 falls back to scratch otherwise; ``mode="scratch"`` forces full refits.
-
-A third path exists for multi-host serving: **delegated**.  With
-``engine.delegated = True`` a due refit does not train locally — the
-engine drains the pending buffer into a versioned *sync request* (the
-observation delta since the previous refit) and queues it on an outbox
-for the replication channel to ship to a central trainer.  The trained
-model comes back as a pickled snapshot installed via
-:meth:`install_snapshot`, which is version-gated (stale snapshots are
-dropped, gaps rejected) and re-observes any events buffered since the
-delta was cut so the installed service is byte-identical to one that
-refit locally.  Sync requests stay on the outbox until their version is
-installed, so a checkpoint taken mid-flight re-requests them on resume.
 """
 
 from __future__ import annotations
 
-import pickle
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -74,16 +60,6 @@ class _ServiceState:
     fitted: bool = False
     refit_count: int = 0
     incremental_refits: int = 0
-    #: replication version vector: ``sync_version`` counts refits whose
-    #: training was delegated to a central trainer, ``installed_version``
-    #: counts the snapshots installed back.  ``sync > installed`` means a
-    #: model is in flight and decisions must wait.
-    sync_version: int = 0
-    installed_version: int = 0
-    #: actual model-training work done *in this process* (the delegated
-    #: path bumps ``refit_count`` bookkeeping but not these).
-    fits_performed: int = 0
-    fit_seconds: float = 0.0
 
 
 class ModelUpdateEngine:
@@ -95,14 +71,6 @@ class ModelUpdateEngine:
         self.policy = policy or UpdatePolicy()
         self.mode = mode
         self._services: dict[str, _ServiceState] = {}
-        #: when True, due refits for replicable services queue sync
-        #: requests instead of training locally (multi-host replication)
-        self.delegated = False
-        # Outstanding sync requests, oldest first.  Entries stay here
-        # until install_snapshot() consumes their version: a checkpoint
-        # pickled mid-flight still carries them, so a respawned worker
-        # re-requests rather than deadlocking on a lost broadcast.
-        self._sync_outbox: list[dict] = []
 
     def register(
         self,
@@ -196,38 +164,14 @@ class ModelUpdateEngine:
             and state.service.supports_incremental
             and state.fitted
         )
-        if self.delegated and getattr(state.service, "replicable", True):
-            # Delegated: cut the pending buffer into a versioned delta
-            # and queue it for the central trainer.  Bookkeeping counters
-            # advance exactly as a local refit would (the central trainer
-            # replays the same mode decision), but no model work happens
-            # here — the snapshot comes back via install_snapshot().
-            deltas = list(state.pending)
-            state.pending.clear()
-            state.last_refit_time = now
-            state.refit_count += 1
-            if incremental:
-                state.incremental_refits += 1
-            state.sync_version += 1
-            self._sync_outbox.append({
-                "service": name,
-                "version": state.sync_version,
-                "deltas": deltas,
-                "now": now,
-                "mode": mode,
-            })
-            return "delegated"
         # builders get copies: the pending buffer is cleared below and the
         # history keeps growing, so an identity builder must not hand the
         # service a live view of either
-        t0 = time.perf_counter()
         if incremental:
             state.service.apply_update(state.update_builder(list(state.pending)))
             state.incremental_refits += 1
         else:
             state.service.fit(state.history_builder(list(state.history)))
-        state.fits_performed += 1
-        state.fit_seconds += time.perf_counter() - t0
         state.pending.clear()
         state.fitted = True
         state.last_refit_time = now
@@ -257,114 +201,9 @@ class ModelUpdateEngine:
         """Observations buffered since the named service's last refit."""
         return len(self._state(name).pending)
 
-    def fits_performed(self, name: str) -> int:
-        """Model fits actually executed in this process (delegated refits
-        count toward ``refit_count`` but not here)."""
-        return self._state(name).fits_performed
-
-    def fit_seconds(self, name: str) -> float:
-        """Wall seconds spent inside local fit/apply_update calls."""
-        return self._state(name).fit_seconds
-
     def service(self, name: str) -> PredictionService:
         """The live service object behind a registered name."""
         return self._state(name).service
-
-    # -- replication channel ------------------------------------------
-
-    def sync_requests(self) -> list[dict]:
-        """Outstanding sync requests, oldest first (a copy).
-
-        Every entry is ``{service, version, deltas, now, mode}``.  The
-        caller ships them to the central trainer; entries persist until
-        :meth:`install_snapshot` consumes their version, so transports
-        may send a request more than once (the trainer is idempotent).
-        """
-        return [dict(req) for req in self._sync_outbox]
-
-    def sync_pending(self, name: str | None = None) -> bool:
-        """True while any (or the named) service has a model in flight."""
-        states = [self._state(name)] if name else self._services.values()
-        return any(st.sync_version > st.installed_version for st in states)
-
-    def sync_versions(self, name: str) -> tuple[int, int]:
-        """``(requested, installed)`` sync versions for a service."""
-        state = self._state(name)
-        return state.sync_version, state.installed_version
-
-    def ingest(self, name: str, events: list) -> None:
-        """Feed a remote shard's observation delta without refit checks.
-
-        The central trainer's half of a sync: replays the delta through
-        ``observe`` and the history/pending buffers exactly as the shard
-        did, so the forced :meth:`refit` that follows trains on the same
-        bytes the shard would have trained on locally.
-        """
-        state = self._state(name)
-        for event in events:
-            state.service.observe(event)
-            state.history.append(event)
-            state.pending.append(event)
-
-    def install_snapshot(self, name: str, version: int, service: PredictionService) -> bool:
-        """Install a centrally-trained model snapshot; version-gated.
-
-        Stale versions (already installed) are dropped and return False.
-        ``version`` must be the next expected install and must not run
-        ahead of this engine's own sync requests — the snapshot for
-        version *v* only makes sense once this engine has cut delta *v*,
-        because events observed after the cut are re-fed to the incoming
-        service here (they are exactly ``pending``) to keep it
-        byte-identical with a service that refit locally.
-        """
-        state = self._state(name)
-        if version <= state.installed_version:
-            return False
-        if version != state.installed_version + 1 or version > state.sync_version:
-            raise ValueError(
-                f"snapshot gap for {name!r}: got v{version}, "
-                f"installed v{state.installed_version}, requested v{state.sync_version}"
-            )
-        for event in state.pending:
-            service.observe(event)
-        state.service = service
-        state.fitted = True
-        state.installed_version = version
-        self._sync_outbox = [
-            req for req in self._sync_outbox
-            if not (req["service"] == name and req["version"] <= version)
-        ]
-        return True
-
-    def skip_snapshot(self, name: str, version: int) -> None:
-        """Consume a sync version without installing its model.
-
-        The degraded-shard escape hatch: a shard that already swapped in
-        a fallback service must not let a remote snapshot revert it, but
-        the version vector still has to advance or the shard would block
-        forever waiting for an install that will never happen.
-        """
-        state = self._state(name)
-        if version > state.installed_version:
-            state.installed_version = min(version, state.sync_version)
-        self._sync_outbox = [
-            req for req in self._sync_outbox
-            if not (req["service"] == name and req["version"] <= version)
-        ]
-
-    def snapshot_blob(self, name: str) -> bytes:
-        """Pickle the named service with full training state retained.
-
-        Central-trainer side of a sync: GBDT-backed services swap their
-        boosters into ``keep_training_state`` form while pickling so the
-        shard that unpickles this blob can keep boosting incrementally.
-        """
-        from ..ml.gbdt import keep_training_state
-
-        with keep_training_state():
-            return pickle.dumps(
-                self._state(name).service, protocol=pickle.HIGHEST_PROTOCOL
-            )
 
     def _state(self, name: str) -> _ServiceState:
         try:

@@ -146,10 +146,6 @@ class CESNodeService(PredictionService):
 
     service_name = "ces"
     supports_incremental = True
-    #: the DRS controller is a sequential stateful owner: exactly one
-    #: replica serves node samples, so central refits buy nothing and
-    #: snapshot installs would clobber in-flight forecaster extends
-    replicable = False
 
     def __init__(
         self,

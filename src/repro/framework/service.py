@@ -26,13 +26,6 @@ class PredictionService(ABC):
     #: refit path over a scratch :meth:`fit`.
     supports_incremental: bool = False
 
-    #: True when this service's refits may be delegated to a central
-    #: trainer and the model installed from a snapshot (cross-host
-    #: replication).  Services whose decision state is a sequential
-    #: side-effecting controller (CES) opt out: they keep refitting
-    #: locally on their single owning shard.
-    replicable: bool = True
-
     @abstractmethod
     def fit(self, history: Any) -> "PredictionService":
         """(Re)train the service's prediction model from history."""

@@ -122,11 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
              "answers busy/retry-after past it (default 32)",
     )
     parser.add_argument(
-        "--replicate", choices=("local", "central"), default="local",
-        help="model refit topology under --net: 'local' fits on every "
-             "shard worker; 'central' trains once at the router-side "
-             "Model Update Hub and broadcasts versioned snapshots to "
-             "all replicas (default local)",
+        "--replicate", choices=("local",), default="local",
+        help="where refits train: 'local', on every shard, is the only "
+             "value; the flag stays so existing invocations (the "
+             "perfbench serve_net_ckpt workload) still parse",
     )
     parser.add_argument(
         "--replicas", type=int, default=1, metavar="K",
@@ -232,9 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --replicas must be >= 1, got {args.replicas}",
               file=sys.stderr)
         return 2
-    if (args.replicas > 1 or args.replicate == "central") and not net_mode:
-        print("error: --replicas/--replicate central need --net",
-              file=sys.stderr)
+    if args.replicas > 1 and not net_mode:
+        print("error: --replicas needs --net", file=sys.stderr)
         return 2
     if args.replicas > 1 and args.listen is not None:
         print("error: --replicas > 1 is a --net drive-mode feature "

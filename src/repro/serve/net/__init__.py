@@ -17,19 +17,17 @@ stdlib ``socket``/``selectors`` — zero new dependencies — and doubles
 as the deterministic injection point for the network fault kinds in
 :mod:`repro.framework.faults`.
 
-Cross-host model replication (:mod:`.replicate`) rides the same
-framing: shards in a replica group delegate refits to a router-side
-:class:`~repro.serve.net.replicate.ModelUpdateHub` that trains each
-``(cluster, service)`` update once and broadcasts versioned snapshots,
-with the consistency guarantee that replicated shard decisions stay
-byte-identical to a single-shard merged-stream run — including under
-SIGKILL or partition mid-broadcast.
+Replica groups (:mod:`.replicate`) split one cluster's stream across
+``--replicas K`` shards: submits round-robin, finishes to every
+replica, node samples to replica 0.  Each replica refits its own
+models, and its decisions equal its slice of the single-shard
+merged-stream run — including under SIGKILL or partition.
 """
 
 from .framing import FramedConn, NetFaultFilter, pack, unpack
 from .frontdoor import FrontDoor, FrontDoorClient, serve_clusters_net
 from .hashring import HashRing
-from .replicate import ModelUpdateHub, replica_slice
+from .replicate import replica_slice
 from .router import NetConfig, NetStats, Router
 from .worker import worker_main
 
@@ -38,7 +36,6 @@ __all__ = [
     "FrontDoor",
     "FrontDoorClient",
     "HashRing",
-    "ModelUpdateHub",
     "NetConfig",
     "NetFaultFilter",
     "NetStats",

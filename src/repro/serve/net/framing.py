@@ -35,7 +35,8 @@ from ...framework.faults import FaultPlan, FaultSpec
 __all__ = ["FramedConn", "NetFaultFilter", "pack", "unpack", "unpack_json"]
 
 _HEADER = struct.Struct(">I")
-_MAX_FRAME = 1 << 31  # sanity bound: a frame this big is a protocol bug
+#: worker links' frame bound: checkpoints ride them, so it is generous
+_MAX_FRAME = 1 << 31
 
 TAG_PICKLE = b"P"
 TAG_JSON = b"J"
@@ -155,6 +156,9 @@ class FramedConn:
     that like a dead worker.
     """
 
+    #: largest frame (tag + payload) a peer may announce
+    max_frame = _MAX_FRAME
+
     def __init__(self, sock, faults: NetFaultFilter | None = None) -> None:
         sock.setblocking(False)
         self.sock = sock
@@ -170,6 +174,11 @@ class FramedConn:
 
     def _decode(self, body: bytes) -> object:
         return unpack(body)
+
+    def _oversized(self, length: int) -> None:
+        """A header announced a frame over :attr:`max_frame`: nothing
+        after it can be trusted, so the link closes."""
+        self.closed = True
 
     def send(self, msg: object, fmt: str = "pickle") -> None:
         frame = pack(msg, fmt)
@@ -221,8 +230,9 @@ class FramedConn:
         msgs: list[object] = []
         while len(self._in) >= _HEADER.size:
             (length,) = _HEADER.unpack_from(self._in)
-            if length > _MAX_FRAME:
-                self.closed = True
+            if length > self.max_frame:
+                self._in.clear()
+                self._oversized(length)
                 break
             if len(self._in) < _HEADER.size + length:
                 break

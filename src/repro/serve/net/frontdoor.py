@@ -15,9 +15,13 @@ Two entry modes share one :class:`~repro.serve.net.router.Router`:
   the router never buffers unacked work without bound.  The protocol is
   strict request-reply over the same length-prefixed framing workers
   use, JSON only in both directions: a client link never unpickles, and
-  a malformed request — including an event whose refs fall outside the
-  shard's tables — gets ``{"op": "error"}`` and disconnects only the
-  client that sent it.
+  a malformed request — including a frame over the 1 MiB client cap
+  and an event whose refs fall outside the shard's tables — gets
+  ``{"op": "error"}`` and disconnects only the client that sent it.
+  An event the shard's own stream could never produce — out of batch
+  order, earlier than the last admitted batch, or a finish before its
+  job's submit — is refused with ``{"op": "error"}`` too, but the
+  client stays connected.
 
 :class:`FrontDoorClient` is the matching blocking client (also the
 load generator the loopback benchmark drives).
@@ -50,10 +54,16 @@ _HEADER = struct.Struct(">I")
 
 _EVENT_KINDS = (FINISH, NODE_SAMPLE, SUBMIT, NODE_FAIL)
 
+#: client frame cap; a 30-day stream of any Helios cluster sends event
+#: frames of at most 144 bytes
+_CLIENT_MAX_FRAME = 1 << 20
+
 
 class _ClientConn(FramedConn):
     """A front-door client link: JSON frames only, never unpickled.
     An undecodable frame decodes to ``None`` (not a request)."""
+
+    max_frame = _CLIENT_MAX_FRAME
 
     def _decode(self, body: bytes) -> object:
         try:
@@ -61,6 +71,17 @@ class _ClientConn(FramedConn):
         except (ValueError, RecursionError):
             # wrong tag, bad UTF-8, bad JSON, or JSON nested too deep
             return None
+
+    def _oversized(self, length: int) -> None:
+        self.drop(f"a {length}-byte frame is over the "
+                  f"{_CLIENT_MAX_FRAME}-byte client cap")
+
+    def drop(self, problem: str) -> None:
+        """Answer a malformed request and disconnect only this client."""
+        self.send({"op": "error", "error": f"malformed request: {problem}"},
+                  fmt="json")
+        self.pump()
+        self.close()
 
 
 def _is_int(value) -> bool:
@@ -101,10 +122,11 @@ def _request_problem(msg) -> str | None:
     return None
 
 
-def _ref_limits(task: ShardTask) -> dict[int, int]:
-    """For each event kind the shard serves, the row count of the table
-    its refs index; a kind the shard has no table for is absent.  A ref
-    past these would crash the worker serving it."""
+def _shard_tables(task: ShardTask) -> tuple[dict[int, int], np.ndarray]:
+    """What admission checks an event against: for each event kind the
+    shard serves, the row count of the table its refs index (a kind the
+    shard has no table for is absent; a ref past these would crash the
+    worker serving it), and the jobs' submit times."""
     stream = build_stream(task)
     jobs = len(stream.jobs)
     limits = {SUBMIT: jobs, FINISH: jobs}
@@ -115,7 +137,7 @@ def _ref_limits(task: ShardTask) -> dict[int, int]:
         limits[NODE_SAMPLE] = bins
     if stream.node_events is not None:
         limits[NODE_FAIL] = len(stream.node_events)
-    return limits
+    return limits, stream.jobs["submit_time"].astype(float)
 
 
 class FrontDoor:
@@ -125,8 +147,8 @@ class FrontDoor:
                  fault_plan: FaultPlan | None = None) -> None:
         self.router = Router(tasks, net=net, fault_plan=fault_plan)
         self.port: int | None = None
-        #: per opened shard, :func:`_ref_limits` — checked at admission
-        self._ref_limits: dict[str, dict[int, int]] = {}
+        #: per opened shard, :func:`_shard_tables` — checked at admission
+        self._tables: dict[str, tuple[dict[int, int], np.ndarray]] = {}
 
     def run(self) -> tuple[list, NetStats]:
         """Local-drive mode: stream every configured shard through the
@@ -157,7 +179,7 @@ class FrontDoor:
             ready.set()
         sel = selectors.DefaultSelector()
         sel.register(lsock, selectors.EVENT_READ)
-        clients: list[FramedConn] = []
+        clients: list[_ClientConn] = []
         opened = False
         try:
             while True:
@@ -188,19 +210,11 @@ class FrontDoor:
             if c in router.routes
         ], router.stats
 
-    @staticmethod
-    def _drop(client: FramedConn, problem: str) -> None:
-        """Answer a malformed request and disconnect only its sender."""
-        client.send({"op": "error", "error": f"malformed request: {problem}"},
-                    fmt="json")
-        client.pump()
-        client.close()
-
-    def _client_msg(self, client: FramedConn, msg) -> bool:
+    def _client_msg(self, client: _ClientConn, msg) -> bool:
         """Handle one client request; returns True when it opened a shard."""
         problem = _request_problem(msg)
         if problem is not None:
-            self._drop(client, problem)
+            client.drop(problem)
             return False
         router = self.router
         op = msg["op"]
@@ -212,7 +226,7 @@ class FrontDoor:
                              "error": "unknown cluster"}, fmt="json")
                 return False
             if cluster not in router.routes:
-                self._ref_limits[cluster] = _ref_limits(task)
+                self._tables[cluster] = _shard_tables(task)
                 router.open_route(task, batches=[], total=None)
             client.send({"op": "opened", "cluster": cluster}, fmt="json")
             return True
@@ -222,9 +236,10 @@ class FrontDoor:
                 client.send({"op": "error", "cluster": cluster,
                              "error": "not opened"}, fmt="json")
                 return False
-            limit = self._ref_limits[cluster].get(msg["kind"])
+            limits, submit_time = self._tables[cluster]
+            limit = limits.get(msg["kind"])
             if limit is None or any(r >= limit for r in msg["refs"]):
-                self._drop(client, f"refs out of range for kind {msg['kind']}")
+                client.drop(f"refs out of range for kind {msg['kind']}")
                 return False
             # Admission control: the per-shard queue is everything
             # buffered but not yet acked by a worker.  Full → reject
@@ -238,15 +253,28 @@ class FrontDoor:
                 }, fmt="json")
                 return False
             bi = int(msg["bi"])
+            when = float(msg["time"])
+            refs = np.asarray(msg["refs"], dtype=np.int64)
+            # Refuse what the shard's own stream never yields: batch
+            # times run non-decreasing, and a job finishes after it
+            # was submitted.
+            problem = None
             if bi != len(route.batches):
+                problem = f"out of order: expected {len(route.batches)}"
+            elif route.batches and when < route.batches[-1].time:
+                problem = (f"time {when:g} is before the last admitted "
+                           f"batch's {route.batches[-1].time:g}")
+            elif msg["kind"] == FINISH and len(refs):
+                submitted = float(submit_time[refs].max())
+                if when < submitted:
+                    problem = (f"finish at {when:g} is before its job's "
+                               f"submit at {submitted:g}")
+            if problem is not None:
                 client.send({"op": "error", "cluster": cluster,
-                             "error": f"out of order: expected {len(route.batches)}"},
-                            fmt="json")
+                             "error": problem}, fmt="json")
                 return False
             route.batches.append(EventBatch(
-                kind=int(msg["kind"]),
-                time=float(msg["time"]),
-                refs=np.asarray(msg["refs"], dtype=np.int64),
+                kind=int(msg["kind"]), time=when, refs=refs,
             ))
             client.send({"op": "accepted", "cluster": cluster, "bi": bi},
                         fmt="json")
@@ -397,11 +425,10 @@ def serve_clusters_net(
     shard's failed attempts.
 
     ``replicas > 1`` splits every cluster's stream across a replica
-    group (see :func:`~repro.serve.net.replicate.replica_slice`);
-    combined with ``config.replicate="central"`` the router trains each
-    refit once and broadcasts the model to all replicas.  Returns
-    ``(reports, stats)``; reports come back grouped per cluster in
-    ``clusters`` order, replicas in index order.
+    group (see :func:`~repro.serve.net.replicate.replica_slice`), and
+    each replica refits its own models.  Returns ``(reports, stats)``;
+    reports come back grouped per cluster in ``clusters`` order,
+    replicas in index order.
     """
     cfg = config or ServeConfig()
     netcfg = net or NetConfig(workers=workers, queue_bound=queue_bound)

@@ -36,15 +36,10 @@ share its crash, and each resumes from its own checkpoint.  Without
 fork there is no worker process, so a plan's process faults (crash,
 hang, ...) do not fire in the passthrough.
 
-With central replication (``ServeConfig.replicate = "central"``) the
-router also hosts the :class:`~repro.serve.net.replicate.ModelUpdateHub`:
-delegating shards send ``model_sync_request`` frames (versioned
-observation deltas) at their refit-due points, the hub trains once per
-(cluster, service, version), and the router broadcasts the snapshot as
-a ``model_sync`` frame to every worker hosting a replica of the
-cluster.  Cumulative acks carry each shard's model version vector; a
-worker that misses a broadcast re-requests by version, so SIGKILL or
-partition mid-broadcast converges to the same lineage.
+A replica group (``--replicas K``) is K routes over one cluster's
+stream, each opened with its slice of it
+(:func:`~repro.serve.net.replicate.replica_slice`).  The router treats
+them as independent shards, and each replica refits its own models.
 
 Network faults (``drop``/``delay``/``duplicate``/``partition``) inject
 at each link's framing layer, keyed by ``("link:<worker>", epoch,
@@ -59,7 +54,7 @@ import multiprocessing
 import selectors
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ...framework.faults import FaultPlan
 from ...framework.parallel import fork_available
@@ -69,7 +64,7 @@ from ..runtime import ShardTask, build_shard, build_stream
 from ..server import ServingSession
 from .framing import FramedConn, NetFaultFilter
 from .hashring import HashRing
-from .replicate import ModelUpdateHub, replica_slice
+from .replicate import replica_slice
 from .worker import worker_main
 
 __all__ = ["NetConfig", "NetStats", "Router", "RouteState", "WorkerLink"]
@@ -135,13 +130,6 @@ class NetStats:
     busy_rejections: int = 0
     dropped_frames: int = 0
     max_queue_depth: int = 0
-    #: replication plane: central refits performed, duplicate sync
-    #: requests answered from the version cache, snapshot broadcast
-    #: frames sent, and total snapshot payload bytes
-    model_syncs: int = 0
-    sync_cached: int = 0
-    snapshot_frames: int = 0
-    snapshot_bytes: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -156,10 +144,6 @@ class NetStats:
             "busy_rejections": self.busy_rejections,
             "dropped_frames": self.dropped_frames,
             "max_queue_depth": self.max_queue_depth,
-            "model_syncs": self.model_syncs,
-            "sync_cached": self.sync_cached,
-            "snapshot_frames": self.snapshot_frames,
-            "snapshot_bytes": self.snapshot_bytes,
         }
 
 
@@ -192,7 +176,6 @@ class RouteState:
         "cluster", "task", "batches", "total", "worker", "attempt",
         "retries", "reroutes", "next_send", "acked", "ckpt", "report",
         "phase", "deadline", "backoff_until", "need_resume", "sent_at",
-        "sync_seen",
     )
 
     def __init__(self, task: ShardTask, batches: list | None = None,
@@ -216,10 +199,6 @@ class RouteState:
         self.backoff_until = 0.0
         self.need_resume = False
         self.sent_at: dict[int, float] = {}
-        #: the shard's model version vector as of its last cumulative
-        #: ack: ``{service: (requested, installed)}`` — replication
-        #: observability (which shard is waiting on which snapshot)
-        self.sync_seen: dict[str, tuple[int, int]] = {}
 
 
 def _worker_entry(sock, name: str, plan) -> None:
@@ -238,13 +217,6 @@ class Router:
         self.tasks = {t.shard_id: t for t in tasks}
         if len(self.tasks) != len(tasks):
             raise ValueError("duplicate shard in tasks")
-        # Central replication: one hub lineage per cluster, built lazily
-        # on the first sync request (or passthrough serve).
-        self.hub = (
-            ModelUpdateHub()
-            if any(t.config.replicate == "central" for t in tasks)
-            else None
-        )
         self.stats = NetStats()
         self.routes: dict[str, RouteState] = {}
         self.links: dict[str, WorkerLink] = {}
@@ -451,9 +423,6 @@ class Router:
             ckpt = msg.get("ckpt")
             if ckpt is not None and (route.ckpt is None or ckpt.seq >= route.ckpt.seq):
                 route.ckpt = ckpt
-            sync = msg.get("sync")
-            if sync:
-                route.sync_seen = sync
             route.deadline = now + self.cfg.rpc_deadline_s
             self.stats.acks += 1
         elif op == "gap":
@@ -465,13 +434,6 @@ class Router:
                 route.sent_at.clear()
                 self.stats.gap_rewinds += 1
                 obs.counter_add("net.gap_rewinds")
-            route.deadline = now + self.cfg.rpc_deadline_s
-        elif op == "model_sync_request":
-            # A delegating shard hit a refit-due point: train (or fetch)
-            # the version centrally and broadcast the snapshot to every
-            # worker hosting a replica of the cluster.  Counts as
-            # progress — the shard defers serving until the install.
-            self._central_sync(route, msg, now)
             route.deadline = now + self.cfg.rpc_deadline_s
         elif op == "report":
             if route.phase == "finishing":
@@ -486,51 +448,6 @@ class Router:
         route.report = report
         route.phase = "done"
         route.deadline = None
-
-    # -- model replication ----------------------------------------------
-
-    def _central_sync(self, route: RouteState, msg: dict, now: float) -> None:
-        if self.hub is None:
-            return  # replication not configured: stale/bogus request
-        task = route.task
-        name = msg["service"]
-        version = int(msg["version"])
-        blob, fresh = self.hub.sync(
-            task, name, version, msg["deltas"], float(msg["now"]),
-            msg.get("mode"),
-        )
-        if fresh:
-            self.stats.model_syncs += 1
-            obs.counter_add("net.model_syncs")
-        else:
-            self.stats.sync_cached += 1
-        self._broadcast_snapshot(task.cluster, name, version, blob)
-
-    def _broadcast_snapshot(self, cluster: str, name: str, version: int,
-                            blob: bytes) -> None:
-        """Send one snapshot to every alive worker hosting a replica of
-        ``cluster`` (deduplicated per link — a worker applies the frame
-        to all its matching shards).  Workers that miss the broadcast
-        (partition, crash) re-request by version on their own."""
-        sent: set[str] = set()
-        for route in self.routes.values():
-            if route.task.cluster != cluster or route.worker is None:
-                continue
-            if route.phase not in ("resuming", "streaming", "finishing"):
-                continue
-            link = self.links.get(route.worker)
-            if link is None or not link.alive or link.name in sent:
-                continue
-            sent.add(link.name)
-            link.conn.send({
-                "op": "model_sync",
-                "cluster": cluster,
-                "service": name,
-                "version": version,
-                "blob": blob,
-            })
-            self.stats.snapshot_frames += 1
-            self.stats.snapshot_bytes += len(blob)
 
     # -- route advancement ----------------------------------------------
 
@@ -693,57 +610,28 @@ class Router:
         from its latest checkpoint (same parity path as a worker).
 
         A route opened with an explicit batch list (drive mode) replays
-        exactly those batches — a replica's slice, not the full stream —
-        and, under central replication, drains the engine's sync
-        requests through the hub after every batch so the passthrough
-        rung keeps the same model lineage a socket worker would.
+        exactly those batches — a replica's slice, not the full stream.
         """
         task = route.task
         server, stream = build_shard(task)
         if route.total is None:
             # Listen-mode passthrough: no authoritative batch list held
-            # here; replay the locally-built stream (pre-replication
-            # behavior, whole-cluster shards only).
+            # here; replay the locally-built stream (whole-cluster
+            # shards only).
             self._deliver(route, server.run(
                 stream,
                 speedup=task.speedup,
                 resume=route.ckpt,
             ))
             return
-        central = self.hub is not None and task.config.replicate == "central"
-        if central:
-            server.enable_central_refits()
         session = ServingSession(
             server,
             stream,
             resume=route.ckpt,
             partial=task.replica_count > 1,
         )
-        if central:
-            self._drain_local_sync(task, server)
         for bi, batch in enumerate(route.batches):
             if bi < session.cursor:
                 continue
             session.process(bi, batch)
-            if central:
-                self._drain_local_sync(task, server)
         self._deliver(route, session.finish())
-
-    def _drain_local_sync(self, task: ShardTask, server) -> None:
-        """Synchronous sync loop for an in-process shard: every
-        outstanding request trains at the hub and installs immediately
-        (installs prune the outbox, so this terminates)."""
-        while True:
-            requests = server.engine.sync_requests()
-            if not requests:
-                return
-            req = requests[0]
-            blob, fresh = self.hub.sync(
-                task, req["service"], int(req["version"]),
-                req["deltas"], float(req["now"]), req.get("mode"),
-            )
-            if fresh:
-                self.stats.model_syncs += 1
-            else:
-                self.stats.sync_cached += 1
-            server.install_sync(req["service"], int(req["version"]), blob)

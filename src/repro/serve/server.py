@@ -116,18 +116,14 @@ class ServeConfig:
     update_max_buffered: int = 50_000
     decide_jobs: int = 1
     record_decisions: bool = False
-    #: "local" (default): every shard trains its own refits.  "central":
-    #: when a replication channel is attached (serve-net router), due
-    #: refits ship observation deltas to a router-side trainer and the
-    #: shard installs the versioned snapshot it broadcasts back.  Without
-    #: a channel the value is inert and refits stay local.
+    #: where refits train: "local", on every shard (the only value).
+    #: Kept so ``perfbench/child.py``'s ``ServeConfig(replicate=
+    #: args.replicate)`` with ``--replicate local`` still builds.
     replicate: str = "local"
 
     def __post_init__(self) -> None:
-        if self.replicate not in ("local", "central"):
-            raise ValueError(
-                f"replicate must be 'local' or 'central', got {self.replicate!r}"
-            )
+        if self.replicate != "local":
+            raise ValueError(f"replicate must be 'local', got {self.replicate!r}")
 
 
 @dataclass(frozen=True)
@@ -187,11 +183,6 @@ class ShardReport:
     #: from ``as_dict`` payloads and the parity surface.
     qssf_hist: Histogram | None = None
     ces_hist: Histogram | None = None
-    #: actual in-process training work ``{service: {"count", "seconds"}}``
-    #: — replication-plane telemetry (a delegating shard reports 0 counts
-    #: while its ``refits`` bookkeeping still advances).  Wall-clock
-    #: plane: excluded from ``as_dict`` payloads and the parity surface.
-    fits: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         out = {
@@ -445,34 +436,6 @@ class PredictionServer:
             cfg.drs_params or DRSParams.scaled(total_nodes, cfg.bin_seconds),
         )
         return service
-
-    # -- model replication ---------------------------------------------
-
-    def enable_central_refits(self) -> None:
-        """Attach this server to a replication channel: due refits for
-        replicable services queue versioned sync requests (see
-        ``engine.sync_requests()``) instead of training locally.  The
-        transport ships them to the central trainer and installs the
-        snapshots it returns via :meth:`install_sync`."""
-        self.engine.delegated = True
-
-    def install_sync(self, name: str, version: int, blob: bytes) -> bool:
-        """Install a centrally-trained model snapshot; version-gated.
-
-        Returns True when the model was swapped in (engine + orchestrator
-        hot-swap), False for a stale version or a degraded shard.  A
-        shard that stepped its degradation ladder keeps the fallback
-        service — the version is consumed so the sync plane unblocks,
-        but the remote model is discarded (local degradation wins).
-        """
-        if name == "qssf" and self._qssf_rung:
-            self.engine.skip_snapshot(name, version)
-            return False
-        service = pickle.loads(blob)
-        if not self.engine.install_snapshot(name, version, service):
-            return False
-        self.orchestrator.replace(service)
-        return True
 
     # -- checkpoint / restore ------------------------------------------
 
@@ -955,13 +918,6 @@ class ServingSession:
                 "node_up": state["node_up"],
                 "max_down": state["max_down"],
             }
-        fits = {
-            name: {
-                "count": server.engine.fits_performed(name),
-                "seconds": server.engine.fit_seconds(name),
-            }
-            for name in server.engine.services
-        }
         report = ShardReport(
             cluster=self.stream.cluster,
             events=events,
@@ -991,7 +947,6 @@ class ServingSession:
             node_health=node_health,
             qssf_hist=self._qssf_lat.hist,
             ces_hist=self._ces_lat.hist,
-            fits=fits,
         )
         if self._phase_hists is not None:
             server._publish_obs(state, report, self._qssf_lat, self._ces_lat)

@@ -38,7 +38,7 @@ from repro.serve.net import (
 )
 from repro.serve.net.framing import TAG_JSON, unpack_json
 from repro.serve.server import encode_decisions
-from repro.serve.stream import NODE_FAIL, NODE_SAMPLE, SUBMIT
+from repro.serve.stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventBatch
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
@@ -383,8 +383,25 @@ class TestListenMode:
                 task.config.batch_window_s))
             bad = client.send_event("Venus", 5, batches[5])
             assert bad["op"] == "error" and "out of order" in bad["error"]
-            for bi, batch in enumerate(batches):
-                client.send_event("Venus", bi, batch)
+            # Times the shard's own stream never produces are refused
+            # without admitting the batch or dropping the link: a batch
+            # earlier than the last admitted one, and a finish before
+            # its job's submit (the last job submitted, finishing at the
+            # last admitted time).
+            k = 3
+            for bi, batch in enumerate(batches[:k]):
+                assert client.send_event("Venus", bi, batch)["op"] == "accepted"
+            last = batches[k - 1].time
+            earlier = EventBatch(kind=batches[k].kind, time=last - 1.0,
+                                 refs=batches[k].refs)
+            bad = client.send_event("Venus", k, earlier)
+            assert bad["op"] == "error" and "before the last" in bad["error"]
+            late_job = [b for b in batches if b.kind == SUBMIT][-1].refs[-1:]
+            early_finish = EventBatch(kind=FINISH, time=last, refs=late_job)
+            bad = client.send_event("Venus", k, early_finish)
+            assert bad["op"] == "error" and "before its job's submit" in bad["error"]
+            for bi, batch in enumerate(batches[k:], start=k):
+                assert client.send_event("Venus", bi, batch)["op"] == "accepted"
             client.request({"op": "close", "cluster": "Venus"})
             client.wait_done("Venus", timeout_s=300.0)
         finally:
@@ -439,6 +456,11 @@ class TestListenMode:
                 assert reply["op"] == "error", (body, reply)
                 assert rest == b""  # one reply, then the server hung up
             assert _UNPICKLED == []
+            # A header announcing 1 GiB is refused at the header, not
+            # buffered toward.
+            reply, rest = _raw_exchange(door.port, b"J{", length=1 << 30)
+            assert reply["op"] == "error" and "client cap" in reply["error"]
+            assert rest == b""
             batches = list(build_stream(task).batches(
                 task.config.batch_window_s))
             for bi, batch in enumerate(batches):
@@ -468,12 +490,15 @@ class _Unpickled:
         return (_mark_unpickled, ("code ran in the server",))
 
 
-def _raw_exchange(port: int, body: bytes) -> tuple[dict, bytes]:
-    """Send one raw frame body; read the server's reply frame and
+def _raw_exchange(port: int, body: bytes,
+                  length: int | None = None) -> tuple[dict, bytes]:
+    """Send one raw frame body behind a header announcing ``length``
+    bytes (default: the true length); read the server's reply frame and
     everything after it until the server hangs up."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=30.0)
     try:
-        sock.sendall(struct.pack(">I", len(body)) + body)
+        header = len(body) if length is None else length
+        sock.sendall(struct.pack(">I", header) + body)
         data = b""
         while chunk := sock.recv(1 << 16):
             data += chunk
@@ -527,17 +552,15 @@ def _serve_repl(replicate, *, replicas=2, fault_plan=None):
 
 @needs_fork
 class TestReplication:
-    def test_central_replicas_byte_identical_to_merged_stream(
+    def test_local_replicas_match_but_multiply_fit_work(
             self, repl_reference):
-        # The tentpole guarantee: with replication on, each replica's
-        # decision stream is byte-identical to the corresponding slice
-        # of a single-shard merged-stream run — same decisions, same
-        # refit bookkeeping — while every model is trained exactly once
-        # at the hub (zero local fits on the replicas).
-        reports, stats = _serve_repl("central")
+        # Each replica's decision stream is byte-identical to its slice
+        # of the single-shard merged-stream run, and each replica pays
+        # for every refit itself: every replica sees every finish, so
+        # it retrains the same lineage the merged-stream run did.
+        reports, _ = _serve_repl("local")
         slices = _ref_slices(repl_reference)
-        ref_refits = repl_reference.refits["qssf"]["refits"]
-        assert ref_refits >= 2  # the policy actually exercises syncs
+        assert repl_reference.refits["qssf"]["refits"] >= 2  # refits fire
         for j, report in enumerate(reports):
             assert report.decisions == _expected_for(slices, j, 2)
             digest = hashlib.sha256(b"".join(
@@ -546,55 +569,28 @@ class TestReplication:
             )).hexdigest()
             assert report.qssf_digest == digest
             assert report.refits["qssf"] == repl_reference.refits["qssf"]
-            assert report.fits["qssf"]["count"] == 0  # delegated
-        # One central fit per version, broadcast to the group.
-        assert stats.model_syncs == ref_refits
-        assert stats.snapshot_frames >= ref_refits
-        assert stats.snapshot_bytes > 0
-
-    def test_local_replicas_match_but_multiply_fit_work(
-            self, repl_reference):
-        # replicate="local" control: decisions still match the merged
-        # stream (every replica retrains on the same broadcast finish
-        # events), but each replica pays for its own fits — the refit
-        # CPU multiplication central mode removes.
-        reports, stats = _serve_repl("local")
-        slices = _ref_slices(repl_reference)
-        ref_fits = repl_reference.fits["qssf"]["count"]
-        for j, report in enumerate(reports):
-            assert report.decisions == _expected_for(slices, j, 2)
-            assert report.fits["qssf"]["count"] == ref_fits
-        assert stats.model_syncs == 0 and stats.snapshot_frames == 0
-        # Group total: K× the merged-stream fit count.
-        assert sum(r.fits["qssf"]["count"] for r in reports) == 2 * ref_fits
 
     def test_kill_and_partition_mid_broadcast_converges(
             self, repl_reference):
         # The chaos headline: partition the link holding both replicas
-        # mid-stream, then SIGKILL the rerouted worker — snapshots in
-        # flight are lost both times.  Respawned/rerouted workers re-send
-        # their outstanding sync requests (served from the hub's version
-        # cache), and the decision streams still match the merged-stream
-        # oracle byte for byte.  (Ring places Venus@0 and Venus@1 on w0;
-        # the crash is keyed to attempt 1 — after the reroute.)
+        # mid-stream, then SIGKILL the rerouted worker.  Each replica
+        # resumes from its own checkpoint and refits locally, and the
+        # decision streams still match the merged-stream oracle byte
+        # for byte.  (Ring places Venus@0 and Venus@1 on w0; the crash
+        # is keyed to attempt 1 — after the reroute.)
         plan = FaultPlan(seed=11, faults=(
             FaultSpec(key="Venus@0", kind="crash", attempt=1, at=130),
             FaultSpec(key="link:w0", kind="partition", at=60, span=100_000),
         ))
-        reports, stats = _serve_repl("central", fault_plan=plan)
+        reports, stats = _serve_repl("local", fault_plan=plan)
         slices = _ref_slices(repl_reference)
         for j, report in enumerate(reports):
             assert report.decisions == _expected_for(slices, j, 2)
             assert report.refits["qssf"] == repl_reference.refits["qssf"]
-            assert report.fits["qssf"]["count"] == 0
-        # Both fault kinds fired and were recovered from...
+        # Both fault kinds fired and were recovered from.
         assert stats.link_failures >= 2
         assert stats.respawns >= 1
         assert stats.reroutes >= 2
-        # ...yet the lineage still trained each version exactly once;
-        # the recovery path shows up as cached re-requests instead.
-        assert stats.model_syncs == repl_reference.refits["qssf"]["refits"]
-        assert stats.sync_cached >= 1
 
 
 class TestPassthrough:

@@ -106,9 +106,12 @@ class TestMainExitCodes:
 
     def test_replication_flags_need_net_mode(self, capsys):
         assert main(["--clusters", "Venus", "--replicas", "2"]) == 2
-        assert "need --net" in _one_line_error(capsys)
-        assert main(["--clusters", "Venus", "--replicate", "central"]) == 2
-        assert "need --net" in _one_line_error(capsys)
+        assert "needs --net" in _one_line_error(capsys)
+        # local refits are the only topology: argparse refuses the rest
+        with pytest.raises(SystemExit) as exc:
+            main(["--clusters", "Venus", "--net", "--replicate", "central"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'central'" in capsys.readouterr().err
 
     def test_bad_replicas_exit_2(self, capsys):
         assert main(["--clusters", "Venus", "--net", "--replicas", "0"]) == 2
@@ -182,8 +185,8 @@ class TestKnobPlumbing:
     def test_replication_flags_flow_into_net_serve(self, monkeypatch, capsys):
         captured = _capture_net_serve(monkeypatch)
         rc = main(["--clusters", "Venus", "--net", "-q",
-                   "--replicas", "3", "--replicate", "central"])
+                   "--replicas", "3", "--replicate", "local"])
         assert rc == 0
         assert captured["replicas"] == 3
-        assert captured["config"].replicate == "central"
+        assert captured["config"].replicate == "local"
         capsys.readouterr()
