@@ -275,12 +275,12 @@ needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 def _net_arm(workers: int, queue_bound: int = 32):
     """One timed serve_clusters_net run; returns (events/s, wall, stats)."""
     from repro.experiments.serving import smoke_serve_config
-    from repro.serve import serve_clusters_net
+    from repro.serve import NetConfig, serve_clusters_net
 
     t0 = time.perf_counter()
     reports, stats = serve_clusters_net(
-        _NET_CLUSTERS, smoke_serve_config(), workers=workers,
-        queue_bound=queue_bound, **_NET_TASK,
+        _NET_CLUSTERS, smoke_serve_config(),
+        net=NetConfig(workers=workers, queue_bound=queue_bound), **_NET_TASK,
     )
     wall = time.perf_counter() - t0
     return sum(r.events for r in reports) / wall, wall, stats

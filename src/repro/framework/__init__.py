@@ -8,16 +8,12 @@ from .faults import (
     FaultPlan,
     FaultSpec,
     TransientWorkerFault,
-    clear_fault_plan,
-    install_fault_plan,
-    installed_fault_plan,
 )
 from .orchestrator import ResourceOrchestrator
 from .parallel import (
     WorkerError,
     effective_jobs,
     fork_available,
-    map_threaded,
     run_forked,
     stable_seed,
 )
@@ -44,12 +40,8 @@ __all__ = [
     "WorkerContext",
     "WorkerError",
     "backoff_delay",
-    "clear_fault_plan",
     "effective_jobs",
     "fork_available",
-    "install_fault_plan",
-    "installed_fault_plan",
-    "map_threaded",
     "run_forked",
     "stable_seed",
 ]

@@ -11,14 +11,15 @@ Two refresh paths exist since the incremental-evaluation protocol:
 * **scratch** — ``service.fit(history_builder(all observations))``: the
   original full refit.  Always correct, kept as the fallback and as the
   correctness oracle the incremental path is tested against.
-* **incremental** — ``service.apply_update(history_builder(new
+* **incremental** — ``service.apply_update(update_builder(new
   observations))``: drives the forecasters' ``update()``/``extend()``
   protocol so a long-running serving loop advances its models in O(new
-  data) instead of O(all data).  Only taken when the service declares
-  ``supports_incremental`` and already has a fitted model.
+  data) instead of O(all data).
 
-``mode="auto"`` (the default) picks incremental whenever it is valid and
-falls back to scratch otherwise; ``mode="scratch"`` forces full refits.
+The service alone picks the path: incremental when it declares
+``supports_incremental`` and already has a fitted model, scratch
+otherwise.  A service opts into the scratch oracle by declaring itself
+non-incremental (``QSSFService(refit_mode="scratch")``).
 """
 
 from __future__ import annotations
@@ -26,12 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .parallel import map_threaded
 from .service import PredictionService
 
 __all__ = ["ModelUpdateEngine", "UpdatePolicy"]
-
-_MODES = ("auto", "scratch", "incremental")
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,8 @@ class _ServiceState:
 class ModelUpdateEngine:
     """Drives periodic model refreshes for any number of services."""
 
-    def __init__(self, policy: UpdatePolicy | None = None, mode: str = "auto") -> None:
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    def __init__(self, policy: UpdatePolicy | None = None) -> None:
         self.policy = policy or UpdatePolicy()
-        self.mode = mode
         self._services: dict[str, _ServiceState] = {}
 
     def register(
@@ -146,24 +141,17 @@ class ModelUpdateEngine:
         if due_time or due_size:
             self.refit(name, now)
 
-    def refit(self, name: str, now: float, mode: str | None = None) -> str | None:
+    def refit(self, name: str, now: float) -> str | None:
         """Refresh the named service on the observations gathered so far.
 
         Returns the path taken (``"scratch"`` / ``"incremental"``) or
         ``None`` when there was nothing new to consume.
         """
-        mode = mode or self.mode
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         state = self._state(name)
         if not state.pending:
             state.last_refit_time = now
             return None
-        incremental = (
-            mode in ("auto", "incremental")
-            and state.service.supports_incremental
-            and state.fitted
-        )
+        incremental = state.service.supports_incremental and state.fitted
         # builders get copies: the pending buffer is cleared below and the
         # history keeps growing, so an identity builder must not hand the
         # service a live view of either
@@ -177,18 +165,6 @@ class ModelUpdateEngine:
         state.last_refit_time = now
         state.refit_count += 1
         return "incremental" if incremental else "scratch"
-
-    def refit_all(self, now: float, jobs: int = 1) -> list[str]:
-        """Refresh every service with pending observations; returns their
-        names.
-
-        Services are independent, so with ``jobs > 1`` the refits run on
-        a thread pool (threads, not processes: refits mutate the
-        registered service objects in place).
-        """
-        due = [name for name, st in self._services.items() if st.pending]
-        map_threaded(lambda name: self.refit(name, now), due, jobs)
-        return due
 
     def refit_count(self, name: str) -> int:
         return self._state(name).refit_count

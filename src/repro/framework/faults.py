@@ -4,11 +4,12 @@ A :class:`FaultPlan` is a seeded, picklable description of *exactly*
 which faults fire where: each :class:`FaultSpec` is keyed by the
 worker's label (``key``), the retry ``attempt`` on which it fires, and
 optionally a progress index ``at`` (e.g. a stream-batch number) so a
-crash lands mid-run rather than at startup.  The plan travels to forked
-workers either as a keyword argument or via the ``REPRO_FAULT_PLAN``
-environment variable (fork inherits the parent's environment), so the
-same plan + seed replays the identical fault sequence bit-for-bit —
-the property the crash-recovery parity suite relies on.
+crash lands mid-run rather than at startup.  A plan travels only as an
+argument: the CLI parses ``--fault-plan`` and hands it to the router,
+which passes it to every worker it forks — nothing is read from the
+environment, so a run without a plan injects nothing.  The same plan +
+seed replays the identical fault sequence bit-for-bit — the property
+the crash-recovery parity suite relies on.
 
 Fault kinds:
 
@@ -45,20 +46,15 @@ frame 90 on the same link epoch.  Exact duplicates (same key, attempt
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 __all__ = [
     "ALL_FAULT_KINDS",
     "FAULT_KINDS",
-    "FAULT_PLAN_ENV",
     "NET_FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
     "TransientWorkerFault",
-    "clear_fault_plan",
-    "install_fault_plan",
-    "installed_fault_plan",
 ]
 
 #: process-level kinds, fired inside a serving worker process
@@ -66,9 +62,6 @@ FAULT_KINDS = ("crash", "hang", "slow_start", "exception")
 #: network-level kinds, fired at the serve-net framing layer
 NET_FAULT_KINDS = ("drop", "delay", "duplicate", "partition")
 ALL_FAULT_KINDS = FAULT_KINDS + NET_FAULT_KINDS
-
-#: Environment variable carrying a JSON-serialized plan into workers.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 
 class TransientWorkerFault(RuntimeError):
@@ -159,13 +152,6 @@ class FaultPlan:
                 )
             seen.add(triple)
 
-    def fault_for(self, key: str, attempt: int) -> FaultSpec | None:
-        """The first *process* fault planned for this (label, attempt),
-        or None.  Kept for single-fault plans; multi-fault consumers use
-        :meth:`process_faults_for`."""
-        faults = self.process_faults_for(key, attempt)
-        return faults[0] if faults else None
-
     def process_faults_for(self, key: str, attempt: int) -> tuple[FaultSpec, ...]:
         """Every process-level fault planned for this (label, attempt)."""
         return tuple(
@@ -194,27 +180,3 @@ class FaultPlan:
             faults=tuple(FaultSpec(**f) for f in data.get("faults", ())),
         )
 
-
-def install_fault_plan(plan: FaultPlan | None) -> None:
-    """Publish ``plan`` via the environment (None uninstalls).
-
-    Forked workers inherit the environment, so a plan installed in the
-    parent is visible to every descendant without explicit plumbing.
-    """
-    if plan is None:
-        os.environ.pop(FAULT_PLAN_ENV, None)
-    else:
-        os.environ[FAULT_PLAN_ENV] = plan.to_json()
-
-
-def installed_fault_plan() -> FaultPlan | None:
-    """The environment-installed plan, or None."""
-    text = os.environ.get(FAULT_PLAN_ENV)
-    if not text:
-        return None
-    return FaultPlan.from_json(text)
-
-
-def clear_fault_plan() -> None:
-    """Remove any environment-installed plan."""
-    install_fault_plan(None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from .parallel import map_threaded
 from .service import PredictionService
 
 __all__ = ["ResourceOrchestrator"]
@@ -33,7 +32,7 @@ class ResourceOrchestrator:
 
         Idempotent reinstall: unlike ``uninstall()`` + ``install()``,
         there is no window in which the name is unregistered, so a
-        freshly refit service can be swapped in while other threads are
+        freshly refit service can be swapped in while another thread is
         inside :meth:`decide_many` — the swap is a single dict
         assignment, and an in-flight batch keeps the service object it
         resolved at entry, finishing consistently on the old model.
@@ -61,14 +60,9 @@ class ResourceOrchestrator:
         """Ask one service for its action given the cluster state."""
         return self.service(name).act(state)
 
-    def decide_many(self, name: str, states: list[Any], jobs: int = 1) -> list[Any]:
-        """Batch dispatch: one decision per state, in input order.
-
-        Decision points are independent of each other, so ``jobs > 1``
-        fans them out on a thread pool; the service object is shared, so
-        this is only safe for services whose ``act`` does not mutate
-        internal state (true of QSSF/CES — ``observe``/``fit`` mutate,
-        ``act`` does not).
-        """
+    def decide_many(self, name: str, states: list[Any]) -> list[Any]:
+        """Batch dispatch: one decision per state, in input order, all
+        from the service resolved at entry (a concurrent :meth:`replace`
+        never splits a batch across two models)."""
         service = self.service(name)
-        return map_threaded(service.act, states, jobs)
+        return [service.act(state) for state in states]

@@ -1,4 +1,4 @@
-"""Process/thread fan-out primitives for the framework layer.
+"""Process fan-out primitives for the framework layer.
 
 Small, dependency-free helpers shared by the experiment orchestrator
 (:mod:`repro.experiments.orchestrator`) and the framework components:
@@ -10,10 +10,7 @@ Small, dependency-free helpers shared by the experiment orchestrator
   sane for the host;
 * :func:`run_forked` — map a function over items with a forked process
   pool, falling back to in-process execution when forking is unavailable
-  or pointless (1 worker, <2 items);
-* :func:`map_threaded` — thread fan-out for I/O-light shared-memory work
-  (used by the Model Update Engine's bulk refit and the Resource
-  Orchestrator's batch dispatch).
+  or pointless (1 worker, <2 items).
 """
 
 from __future__ import annotations
@@ -22,10 +19,10 @@ import hashlib
 import multiprocessing
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..obs import collect as obs
 
@@ -35,7 +32,6 @@ __all__ = [
     "effective_jobs",
     "fork_available",
     "run_forked",
-    "map_threaded",
 ]
 
 
@@ -174,21 +170,3 @@ def run_forked(
             )
     return [obs.absorb_result(result) for result in results]
 
-
-def map_threaded(
-    fn: Callable[[Any], Any],
-    items: Iterable[Any],
-    jobs: int = 1,
-) -> list[Any]:
-    """``[fn(x) for x in items]`` on a thread pool (shared memory).
-
-    For mutating shared objects in place — e.g. refitting registered
-    services — where a process pool's copy-on-write would discard the
-    mutation.  Order is preserved; exceptions propagate.
-    """
-    items = list(items)
-    jobs = min(effective_jobs(jobs), len(items)) if items else 1
-    if jobs <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))

@@ -1,9 +1,8 @@
 """The socket front door: where events enter the serving control plane.
 
-Two entry modes share one :class:`~repro.serve.net.router.Router`:
+Two entry modes drive one :class:`~repro.serve.net.router.Router`:
 
-* **Local drive** (:meth:`FrontDoor.run`, or the
-  :func:`serve_clusters_net` convenience) — the front door builds each
+* **Local drive** (:func:`serve_clusters_net`) — the router builds each
   shard's event stream itself and routes every micro-batch to the
   worker pool; the network-parity sibling of
   :func:`repro.serve.runtime.serve_clusters`.
@@ -21,7 +20,9 @@ Two entry modes share one :class:`~repro.serve.net.router.Router`:
   An event the shard's own stream could never produce — out of batch
   order, earlier than the last admitted batch, or a finish before its
   job's submit — is refused with ``{"op": "error"}`` too, but the
-  client stays connected.
+  client stays connected.  A client that lets more than 1 MiB of
+  replies pile up unread is disconnected without a reply: it is not
+  reading, and buffering for it would grow without bound.
 
 :class:`FrontDoorClient` is the matching blocking client (also the
 load generator the loopback benchmark drives).
@@ -39,7 +40,7 @@ import time
 import numpy as np
 
 from ...experiments import common
-from ...framework.faults import FaultPlan, installed_fault_plan
+from ...framework.faults import FaultPlan
 from ...framework.supervise import SupervisionLog, backoff_delay
 from ...obs import collect as obs
 from ..runtime import ShardTask, build_stream
@@ -54,8 +55,8 @@ _HEADER = struct.Struct(">I")
 
 _EVENT_KINDS = (FINISH, NODE_SAMPLE, SUBMIT, NODE_FAIL)
 
-#: client frame cap; a 30-day stream of any Helios cluster sends event
-#: frames of at most 144 bytes
+#: client frame cap, and the cap on a client's unread replies; a 30-day
+#: stream of any Helios cluster sends event frames of at most 144 bytes
 _CLIENT_MAX_FRAME = 1 << 20
 
 
@@ -64,6 +65,13 @@ class _ClientConn(FramedConn):
     An undecodable frame decodes to ``None`` (not a request)."""
 
     max_frame = _CLIENT_MAX_FRAME
+
+    def send(self, msg: object, fmt: str = "pickle") -> None:
+        super().send(msg, fmt)
+        if len(self._out) > _CLIENT_MAX_FRAME:
+            # The client is not reading its replies: hang up without
+            # one, since it would only add to the pile.
+            self.close()
 
     def _decode(self, body: bytes) -> object:
         try:
@@ -149,13 +157,6 @@ class FrontDoor:
         self.port: int | None = None
         #: per opened shard, :func:`_shard_tables` — checked at admission
         self._tables: dict[str, tuple[dict[int, int], np.ndarray]] = {}
-
-    def run(self) -> tuple[list, NetStats]:
-        """Local-drive mode: stream every configured shard through the
-        pool to completion; reports in task order."""
-        return self.router.drive()
-
-    # -- listen mode ----------------------------------------------------
 
     def serve(self, host: str = "127.0.0.1", port: int = 0,
               ready=None) -> tuple[list, NetStats]:
@@ -400,8 +401,6 @@ def serve_clusters_net(
     clusters,
     config: ServeConfig | None = None,
     *,
-    workers: int = 2,
-    queue_bound: int = 32,
     history_days: int = 30,
     stream_days: float = 3.0,
     max_jobs: int | None = None,
@@ -419,10 +418,11 @@ def serve_clusters_net(
     reports (the parity surface is byte-identical to a direct run), but
     batches travel over sockets to consistent-hash-routed workers with
     bounded queues, retries, reroutes, checkpoint resume every
-    ``checkpoint_every`` batches, and chaos injection.  ``fault_plan``
-    defaults to the environment-installed plan; ``log`` collects every
-    shard attempt's outcome, and each report's ``retries`` counts its
-    shard's failed attempts.
+    ``checkpoint_every`` batches, and chaos injection.  ``net`` sets the
+    pool size, queue bound and retry shape (default :class:`NetConfig`);
+    ``fault_plan`` is the only way faults are injected (None: none);
+    ``log`` collects every shard attempt's outcome, and each report's
+    ``retries`` counts its shard's failed attempts.
 
     ``replicas > 1`` splits every cluster's stream across a replica
     group (see :func:`~repro.serve.net.replicate.replica_slice`), and
@@ -431,8 +431,6 @@ def serve_clusters_net(
     replicas in index order.
     """
     cfg = config or ServeConfig()
-    netcfg = net or NetConfig(workers=workers, queue_bound=queue_bound)
-    plan = fault_plan if fault_plan is not None else installed_fault_plan()
     tasks = [
         ShardTask(
             cluster=c,
@@ -452,7 +450,7 @@ def serve_clusters_net(
     # copy-on-write instead of regenerating the cluster per process.
     for c in clusters:
         common.cluster_gpu_trace(c)
-    door = FrontDoor(tasks, net=netcfg, fault_plan=plan)
+    router = Router(tasks, net=net, fault_plan=fault_plan)
     if log is not None:
-        door.router.log = log
-    return door.run()
+        router.log = log
+    return router.drive()

@@ -23,8 +23,12 @@ stops making progress:
    next alive worker in its hash-ring preference order.
 4. **FIFO passthrough** — no worker can host the shard (fork
    unavailable, or reroute budget exhausted): the router serves the
-   remaining batches in-process — decisions never stop flowing,
-   mirroring the in-shard degradation ladder.
+   route in-process through the same
+   :class:`~repro.serve.server.ServingSession` loop a worker runs,
+   resuming from the route's latest checkpoint — decisions never stop
+   flowing, mirroring the in-shard degradation ladder.  Each step
+   serves the batches admitted since the last one, so in listen mode a
+   client's batches are served and acked as they arrive.
 
 Every attempt at serving a shard ends in one
 :class:`~repro.framework.supervise.SupervisionLog` event (``Router.log``):
@@ -176,6 +180,7 @@ class RouteState:
         "cluster", "task", "batches", "total", "worker", "attempt",
         "retries", "reroutes", "next_send", "acked", "ckpt", "report",
         "phase", "deadline", "backoff_until", "need_resume", "sent_at",
+        "session",
     )
 
     def __init__(self, task: ShardTask, batches: list | None = None,
@@ -199,6 +204,8 @@ class RouteState:
         self.backoff_until = 0.0
         self.need_resume = False
         self.sent_at: dict[int, float] = {}
+        #: the passthrough's in-process session (phase "local" only)
+        self.session: ServingSession | None = None
 
 
 def _worker_entry(sock, name: str, plan) -> None:
@@ -325,8 +332,8 @@ class Router:
                     link.last_ping = now
         for route in self.routes.values():
             if route.phase == "local":
-                self._serve_local(route)
-                busy = True
+                if self._serve_local(route):
+                    busy = True
             elif self._advance(route, now):
                 busy = True
         now = time.monotonic()
@@ -605,33 +612,30 @@ class Router:
         self.stats.passthroughs += 1
         obs.counter_add("net.passthrough")
 
-    def _serve_local(self, route: RouteState) -> None:
-        """Serve a passthrough route to completion in-process, resuming
-        from its latest checkpoint (same parity path as a worker).
+    def _serve_local(self, route: RouteState) -> bool:
+        """Serve a passthrough route's admitted batches in-process;
+        returns whether it served or delivered anything.
 
-        A route opened with an explicit batch list (drive mode) replays
-        exactly those batches — a replica's slice, not the full stream.
+        The first call builds the shard and opens a session resuming
+        from the route's latest checkpoint (the same parity path as a
+        worker).  Every call serves the batches admitted since and acks
+        them, and the call that reaches ``route.total`` delivers the
+        report.  A route opened with an explicit batch list (drive mode)
+        serves exactly those batches — a replica's slice, not the full
+        stream — in one call.
         """
-        task = route.task
-        server, stream = build_shard(task)
-        if route.total is None:
-            # Listen-mode passthrough: no authoritative batch list held
-            # here; replay the locally-built stream (whole-cluster
-            # shards only).
-            self._deliver(route, server.run(
-                stream,
-                speedup=task.speedup,
-                resume=route.ckpt,
-            ))
-            return
-        session = ServingSession(
-            server,
-            stream,
-            resume=route.ckpt,
-            partial=task.replica_count > 1,
-        )
-        for bi, batch in enumerate(route.batches):
-            if bi < session.cursor:
-                continue
-            session.process(bi, batch)
+        session = route.session
+        if session is None:
+            server, stream = build_shard(route.task)
+            session = route.session = ServingSession(
+                server, stream, resume=route.ckpt
+            )
+        start = session.cursor
+        for bi in range(start, len(route.batches)):
+            session.process(bi, route.batches[bi])
+        route.acked = session.cursor
+        if route.total is None or session.cursor < route.total:
+            return session.cursor > start
+        route.session = None
         self._deliver(route, session.finish())
+        return True

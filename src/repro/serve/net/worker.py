@@ -21,15 +21,16 @@ with a tiny RPC vocabulary over one framed socket:
 * ``finish``   — close the session; replies ``report`` with the shard
   report (this process's obs state piggybacked on it, so a worker that
   dies first ships nothing and nothing is double-counted).
-* ``forget``   — drop a session (the shard was rerouted elsewhere).
 * ``ping``/``shutdown`` — liveness probe / clean exit.
 
+A shard never moves off a live worker: the router kills a link's
+process before rerouting its shards, so no session is left to drop.
 A replica of a cluster is just another shard session here: it serves
 its slice of the stream and refits its own models.
 
-Process faults from the installed
-:class:`~repro.framework.faults.FaultPlan` fire here, in the one
-process the router can afford to lose: a
+Process faults from the :class:`~repro.framework.faults.FaultPlan` the
+router forked this worker with fire here, in the one process the
+router can afford to lose: a
 :class:`~repro.framework.supervise.WorkerContext` keyed by ``(shard id,
 attempt)`` — ``attempt`` counts the router's resume attempts for that
 shard — SIGKILLs, stalls, slows or fails this process at startup or at
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import selectors
 
-from ...framework.faults import FaultPlan, installed_fault_plan
+from ...framework.faults import FaultPlan
 from ...framework.supervise import WorkerContext
 from ...obs import collect as obs
 from ..runtime import ShardTask, build_shard
@@ -68,7 +69,6 @@ class ShardHost:
             checkpoint_every=task.checkpoint_every,
             checkpoint_sink=self._sink,
             resume=ckpt,
-            partial=task.replica_count > 1,
         )
 
     def _sink(self, ckpt) -> None:
@@ -84,8 +84,6 @@ def worker_main(sock, name: str, plan: FaultPlan | None = None) -> None:
     # Import here keeps FramedConn construction after the fork.
     from .framing import FramedConn
 
-    if plan is None:
-        plan = installed_fault_plan()
     conn = FramedConn(sock)
     sel = selectors.DefaultSelector()
     sel.register(sock, selectors.EVENT_READ)
@@ -111,8 +109,6 @@ def worker_main(sock, name: str, plan: FaultPlan | None = None) -> None:
                         "worker": name,
                         "report": obs.carry_result(report),
                     })
-            elif op == "forget":
-                hosts.pop(msg["cluster"], None)
             elif op == "ping":
                 conn.send({"op": "pong", "worker": name})
             elif op == "shutdown":
@@ -123,7 +119,7 @@ def worker_main(sock, name: str, plan: FaultPlan | None = None) -> None:
         for cluster, bi in acks.items():
             host = hosts.get(cluster)
             if host is None:
-                continue  # finished or forgotten in this same round
+                continue  # finished in this same round
             conn.send({
                 "op": "ack",
                 "cluster": cluster,
@@ -157,9 +153,8 @@ def _handle_resume(conn, hosts, msg, plan) -> None:
 def _handle_batch(conn, hosts, msg, acks: dict) -> None:
     cluster = msg["cluster"]
     bi0 = int(msg["bi"])
-    # The router coalesces consecutive batches into one group frame
-    # (``items``); a bare ``batch`` frame is the single-batch case.
-    items = msg["items"] if "items" in msg else [msg["batch"]]
+    # The router coalesces consecutive batches into one group frame.
+    items = msg["items"]
     host = hosts.get(cluster)
     if host is None:
         conn.send({"op": "gap", "cluster": cluster, "expected": 0,

@@ -31,13 +31,13 @@ Fault tolerance (two independent planes):
 
 * **Crash recovery** — ``run(..., checkpoint_every=K,
   checkpoint_sink=sink)`` emits a :class:`ShardCheckpoint` every K
-  micro-batches: the batch cursor plus a pickled snapshot of every
-  piece of mutable serving state (orchestrator, update engine, demand
-  series, DRS controller, decision digests).  A fresh server resumed
-  via ``run(..., resume=ckpt)`` replays the remaining batches and
-  produces a report whose :meth:`ShardReport.parity_dict` is
-  byte-identical to a never-failed run — the crash-recovery parity
-  guarantee the chaos tests enforce.
+  micro-batches: the batch cursor plus the server's attributes
+  (orchestrator, update engine, demand series, DRS controller, ladder
+  position) and the loop state (counters, decision digests), pickled
+  as they are.  A fresh server resumed via ``run(..., resume=ckpt)``
+  replays the remaining batches and produces a report whose
+  :meth:`ShardReport.parity_dict` is byte-identical to a never-failed
+  run — the crash-recovery parity guarantee the chaos tests enforce.
 * **Graceful degradation** — a *model* failure (a refit or forecast
   raising mid-stream) must not kill the shard.  QSSF failures step a
   one-rung-at-a-time ladder: incremental refits → scratch refits →
@@ -107,14 +107,11 @@ class ServeConfig:
     ces_features: ForecastFeatures | None = None
     ces_gbdt: GBDTParams | None = None
     ces_update_every: int = 36
-    drs_params: DRSParams | None = None
     batch_window_s: float = 60.0
     predict_durations: bool = False
     online_updates: bool = True
-    refit_mode: str = "auto"
     update_interval_s: float = 7 * 86_400.0
     update_max_buffered: int = 50_000
-    decide_jobs: int = 1
     record_decisions: bool = False
     #: where refits train: "local", on every shard (the only value).
     #: Kept so ``perfbench/child.py``'s ``ServeConfig(replicate=
@@ -367,7 +364,6 @@ class PredictionServer:
                 interval_seconds=self.config.update_interval_s,
                 max_buffered=self.config.update_max_buffered,
             ),
-            mode=self.config.refit_mode,
         )
         self._qssf_history: Table | None = None
         self._ces_series: _GrowingSeries | None = None
@@ -418,7 +414,6 @@ class PredictionServer:
         history = np.asarray(demand_history, dtype=float)
         service = CESNodeService(
             horizon_bins=cfg.horizon_bins,
-            drs_params=cfg.drs_params,
             update_every=cfg.ces_update_every,
             features=cfg.ces_features,
             gbdt_params=cfg.ces_gbdt,
@@ -432,37 +427,22 @@ class PredictionServer:
         self.orchestrator.replace(service)
         self._ces_series = _GrowingSeries(history)
         self._ces_controller = DRSController(
-            total_nodes,
-            cfg.drs_params or DRSParams.scaled(total_nodes, cfg.bin_seconds),
+            total_nodes, DRSParams.scaled(total_nodes, cfg.bin_seconds)
         )
         return service
 
     # -- checkpoint / restore ------------------------------------------
 
     def _snapshot(self, stream: EventStream, state: dict) -> ShardCheckpoint:
-        """Freeze every piece of mutable serving state into a pickle.
+        """Pickle the server's attributes and the loop state as they are.
 
-        Wall-clock telemetry (latency recorders) is deliberately *not*
+        Every attribute is serving state, so a new one is checkpointed
+        without being listed anywhere.  Wall-clock telemetry (latency
+        recorders) lives on the session and is deliberately *not*
         checkpointed — it is excluded from the parity surface.
         """
-        payload = {
-            "config": self.config,
-            "orchestrator": self.orchestrator,
-            "engine": self.engine,
-            "ces_series": self._ces_series,
-            "ces_controller": self._ces_controller,
-            "vc_decisions": self._vc_decisions,
-            "qssf_history": self._qssf_history,
-            "qssf_rung": self._qssf_rung,
-            "ces_degraded": self._ces_degraded,
-            "degraded": dict(self.degraded),
-            "state": {**state, "qssf_bytes": bytes(state["qssf_bytes"]),
-                      "counts": dict(state["counts"]),
-                      "decisions": list(state["decisions"]),
-                      "decision_index": list(state["decision_index"])},
-        }
         with keep_training_state():
-            blob = pickle.dumps(payload)
+            blob = pickle.dumps((self.__dict__, state))
         return ShardCheckpoint(
             cluster=stream.cluster,
             cursor=state["cursor"],
@@ -473,19 +453,8 @@ class PredictionServer:
     def _restore(self, checkpoint: ShardCheckpoint) -> dict:
         """Replace this server's state with a checkpoint's; returns the
         loop state to resume from."""
-        payload = pickle.loads(checkpoint.blob)
-        self.config = payload["config"]
-        self.orchestrator = payload["orchestrator"]
-        self.engine = payload["engine"]
-        self._ces_series = payload["ces_series"]
-        self._ces_controller = payload["ces_controller"]
-        self._vc_decisions = payload["vc_decisions"]
-        self._qssf_history = payload["qssf_history"]
-        self._qssf_rung = payload["qssf_rung"]
-        self._ces_degraded = payload["ces_degraded"]
-        self.degraded = dict(payload["degraded"])
-        state = dict(payload["state"])
-        state["qssf_bytes"] = bytearray(state["qssf_bytes"])
+        attrs, state = pickle.loads(checkpoint.blob)
+        self.__dict__.update(attrs)
         return state
 
     # -- graceful degradation ------------------------------------------
@@ -624,9 +593,7 @@ class PredictionServer:
         for i, vc in enumerate(vcs):
             groups.setdefault(str(vc), []).append(i)
         states = [queue.take(np.asarray(idx)) for idx in groups.values()]
-        ordered = self.orchestrator.decide_many(
-            "qssf", states, jobs=self.config.decide_jobs
-        )
+        ordered = self.orchestrator.decide_many("qssf", states)
         self._vc_decisions += len(states)
         return [
             (vc, tuple(str(j) for j in table["job_id"]))
@@ -708,17 +675,20 @@ class ServingSession:
     Owns everything :meth:`PredictionServer.run` used to keep as locals
     — the loop-state dict, latency recorders, phase-timing buffers and
     checkpoint cadence — so a caller that *receives* batches (the
-    serve-net socket worker, fed frame-by-frame by the router) drives
-    the exact loop ``run`` drives when it owns the stream.  ``run`` is
-    the wrapper: construct a session, push every batch from
-    ``stream.play``, call :meth:`finish` — so every parity guarantee
-    (crash recovery, degradation telemetry, obs totals) holds for both
-    entry points by construction.
+    serve-net socket worker, fed frame-by-frame by the router, and the
+    router's own in-process passthrough) drives the exact loop ``run``
+    drives when it owns the stream.  ``run`` is the wrapper: construct
+    a session, push every batch from ``stream.play``, call
+    :meth:`finish` — so every parity guarantee (crash recovery,
+    degradation telemetry, obs totals) holds for every entry point by
+    construction.
 
     :meth:`process` is idempotent under re-delivery: a batch index below
     the session cursor (a network duplicate, or the replayed prefix of a
     resumed stream) is skipped without side effects — the property the
-    router's retry/rewind protocol relies on.
+    router's retry/rewind protocol relies on.  The report counts the
+    events the session served, so a session fed a replica's slice or a
+    client's prefix of the stream reports just those.
     """
 
     def __init__(
@@ -729,14 +699,9 @@ class ServingSession:
         checkpoint_every: int | None = None,
         checkpoint_sink: Callable[[ShardCheckpoint], None] | None = None,
         resume: ShardCheckpoint | None = None,
-        partial: bool = False,
     ) -> None:
         self.server = server
         self.stream = stream
-        #: True when this session serves only a slice of the stream's
-        #: batches (a replica): the report counts events actually served
-        #: instead of the stream length.
-        self.partial = partial
         self._checkpoint_every = checkpoint_every
         self._checkpoint_sink = checkpoint_sink
         self._resumed = resume is not None
@@ -884,7 +849,7 @@ class ServingSession:
             self._flush_phases()
 
         counts = state["counts"]
-        events = sum(counts.values()) if self.partial else len(self.stream)
+        events = sum(counts.values())
         refits = {
             name: {
                 "refits": server.engine.refit_count(name),

@@ -98,25 +98,6 @@ class TestModelUpdateEngine:
         with pytest.raises(ValueError):
             UpdatePolicy(max_buffered=0)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_refit_all(self, jobs):
-        eng = ModelUpdateEngine(UpdatePolicy(interval_seconds=1e9))
-        services = []
-        for i in range(3):
-            svc = CountingService()
-            svc.service_name = f"svc{i}"
-            services.append(svc)
-            eng.register(svc, list)
-        eng.observe("svc0", "a", now=1.0)
-        eng.observe("svc2", "b", now=1.0)
-        refitted = eng.refit_all(now=2.0, jobs=jobs)
-        assert refitted == ["svc0", "svc2"]  # svc1 had nothing buffered
-        assert [s.fit_calls for s in services] == [1, 0, 1]
-        assert eng.refit_count("svc0") == 1
-
-    def test_refit_all_empty_engine(self):
-        assert ModelUpdateEngine().refit_all(now=0.0) == []
-
 
 class TestIncrementalRefit:
     def test_auto_mode_prefers_incremental_once_fitted(self):
@@ -140,20 +121,24 @@ class TestIncrementalRefit:
         """The incremental path uses update_builder (new events only),
         never the scratch builder (which may fold in base history)."""
         eng = ModelUpdateEngine()
-        svc = IncrementalService()
+        svc, scratch = IncrementalService(), CountingService()
         base = ["h1", "h2"]
-        eng.register(
-            svc,
-            history_builder=lambda rows: base + rows,
-            update_builder=lambda rows: rows,
-            prefitted=True,
-        )
+        for service in (svc, scratch):
+            eng.register(
+                service,
+                history_builder=lambda rows: base + rows,
+                update_builder=lambda rows: rows,
+                prefitted=True,
+            )
         eng.observe("incr", "a", now=1.0)
         assert eng.refit("incr", now=2.0) == "incremental"
         assert svc.update_calls == [["a"]]  # delta only, no base history
-        eng.observe("incr", "b", now=3.0)
-        assert eng.refit("incr", now=4.0, mode="scratch") == "scratch"
-        assert svc.last_history == ["h1", "h2", "a", "b"]  # scratch: full
+        # A service without the incremental path refits from scratch on
+        # the base-folding builder, over every observation.
+        eng.observe("counter", "a", now=1.0)
+        eng.observe("counter", "b", now=3.0)
+        assert eng.refit("counter", now=4.0) == "scratch"
+        assert scratch.last_history == ["h1", "h2", "a", "b"]  # scratch: full
 
     def test_prefitted_service_goes_incremental_immediately(self):
         eng = ModelUpdateEngine()
@@ -163,27 +148,8 @@ class TestIncrementalRefit:
         assert eng.refit("incr", now=2.0) == "incremental"
         assert svc.fit_calls == 0 and svc.update_calls == [["a"]]
 
-    def test_scratch_mode_forces_full_refit(self):
-        eng = ModelUpdateEngine(mode="scratch")
-        svc = IncrementalService()
-        eng.register(svc, list, prefitted=True)
-        eng.observe("incr", "a", now=1.0)
-        assert eng.refit("incr", now=2.0) == "scratch"
-        eng.observe("incr", "b", now=3.0)
-        # scratch refits always see the *entire* history (the oracle)
-        assert eng.refit("incr", now=4.0) == "scratch"
-        assert svc.last_history == ["a", "b"]
-        assert svc.update_calls == []
-
-    def test_per_call_mode_override(self):
-        eng = ModelUpdateEngine(mode="auto")
-        svc = IncrementalService()
-        eng.register(svc, list, prefitted=True)
-        eng.observe("incr", "a", now=1.0)
-        assert eng.refit("incr", now=2.0, mode="scratch") == "scratch"
-
     def test_unsupported_service_falls_back_to_scratch(self):
-        eng = ModelUpdateEngine(mode="incremental")
+        eng = ModelUpdateEngine()
         svc = CountingService()
         eng.register(svc, list, prefitted=True)
         eng.observe("counter", "a", now=1.0)
@@ -193,14 +159,6 @@ class TestIncrementalRefit:
     def test_default_apply_update_raises(self):
         with pytest.raises(NotImplementedError):
             CountingService().apply_update(["x"])
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="mode"):
-            ModelUpdateEngine(mode="bogus")
-        eng = ModelUpdateEngine()
-        eng.register(CountingService(), list)
-        with pytest.raises(ValueError, match="mode"):
-            eng.refit("counter", 0.0, mode="bogus")
 
     def test_refit_clears_pending_only(self):
         eng = ModelUpdateEngine(UpdatePolicy(interval_seconds=1e9, max_buffered=2))
@@ -250,12 +208,11 @@ class TestOrchestrator:
         with pytest.raises(KeyError):
             ResourceOrchestrator().decide("ghost", None)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_decide_many_preserves_order(self, jobs):
+    def test_decide_many_preserves_order(self):
         orch = ResourceOrchestrator()
         orch.install(CountingService())
         states = [f"q{i}" for i in range(5)]
-        assert orch.decide_many("counter", states, jobs=jobs) == [
+        assert orch.decide_many("counter", states) == [
             f"act(q{i})" for i in range(5)
         ]
 
@@ -306,7 +263,7 @@ class TestReplace:
         results = []
 
         def dispatch():
-            results.append(orch.decide_many("counter", list(range(8)), jobs=2))
+            results.append(orch.decide_many("counter", list(range(8))))
 
         t = threading.Thread(target=dispatch)
         t.start()

@@ -1,4 +1,4 @@
-"""Deterministic fault-injection plane: plans, lookup, installation."""
+"""Deterministic fault-injection plane: plans, lookup, JSON round trips."""
 
 import pickle
 
@@ -8,9 +8,6 @@ from repro.framework import (
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
-    clear_fault_plan,
-    install_fault_plan,
-    installed_fault_plan,
 )
 
 
@@ -40,7 +37,7 @@ class TestFaultSpec:
         plan = FaultPlan(seed=3, faults=(spec,))
         again = FaultPlan.from_json(plan.to_json())
         assert again == plan
-        assert again.fault_for("Earth", 1) == spec
+        assert again.process_faults_for("Earth", 1) == (spec,)
 
 
 class TestFaultPlan:
@@ -53,11 +50,14 @@ class TestFaultPlan:
                 FaultSpec(key="b", kind="hang", attempt=0, at=0),
             ),
         )
-        assert plan.fault_for("a", 0).kind == "crash"
-        assert plan.fault_for("a", 1).kind == "exception"
-        assert plan.fault_for("a", 2) is None
-        assert plan.fault_for("b", 0).kind == "hang"
-        assert plan.fault_for("c", 0) is None
+        kinds = lambda key, attempt: [
+            f.kind for f in plan.process_faults_for(key, attempt)
+        ]
+        assert kinds("a", 0) == ["crash"]
+        assert kinds("a", 1) == ["exception"]
+        assert kinds("a", 2) == []
+        assert kinds("b", 0) == ["hang"]
+        assert kinds("c", 0) == []
 
     def test_duplicate_key_attempt_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -71,15 +71,6 @@ class TestFaultPlan:
         assert mk() == mk()
         assert mk().to_json() == mk().to_json()
         assert pickle.loads(pickle.dumps(mk())) == mk()
-
-    def test_install_and_clear(self):
-        plan = FaultPlan(seed=2, faults=(FaultSpec(key="k"),))
-        try:
-            install_fault_plan(plan)
-            assert installed_fault_plan() == plan
-        finally:
-            clear_fault_plan()
-        assert installed_fault_plan() is None
 
 
 class TestNetFaultSpecs:
@@ -116,25 +107,20 @@ class TestNetFaultSpecs:
             FaultSpec(key="x", kind="drop", attempt=1, at=0),
         ))
         # The supervisor plane never sees net kinds...
-        assert plan.fault_for("x", 0).kind == "crash"
         assert [f.kind for f in plan.process_faults_for("x", 0)] == ["crash"]
-        assert plan.fault_for("x", 1) is None
+        assert plan.process_faults_for("x", 1) == ()
         # ...and the framing plane never sees process kinds.
         assert [f.kind for f in plan.net_faults_for("x", 0)] == ["partition"]
         assert [f.kind for f in plan.net_faults_for("x", 1)] == ["drop"]
 
-    def test_env_round_trip_preserves_net_fields(self):
+    def test_json_round_trip_preserves_net_fields(self):
         plan = FaultPlan(seed=4, faults=(
             FaultSpec(key="link:w1", kind="partition", attempt=2, at=60,
                       span=100_000),
             FaultSpec(key="link:w1", kind="delay", attempt=2, at=9,
                       delay_s=0.25),
         ))
-        try:
-            install_fault_plan(plan)
-            again = installed_fault_plan()
-        finally:
-            clear_fault_plan()
+        again = FaultPlan.from_json(plan.to_json())
         assert again == plan
         part, delay = again.net_faults_for("link:w1", 2)
         assert (part.span, delay.delay_s) == (100_000, 0.25)

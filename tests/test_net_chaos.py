@@ -15,6 +15,7 @@ import pickle
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -37,7 +38,7 @@ from repro.serve.net import (
     unpack,
 )
 from repro.serve.net.framing import TAG_JSON, unpack_json
-from repro.serve.server import encode_decisions
+from repro.serve.server import ServingSession, encode_decisions
 from repro.serve.stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventBatch
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
@@ -474,6 +475,71 @@ class TestListenMode:
         reports, _ = out["result"]
         assert parity_surface(reports) == baseline[0].parity_bytes()
 
+    def test_client_that_never_reads_is_dropped(self, baseline):
+        """A client that keeps sending requests but never reads a reply
+        is disconnected once 1 MiB of replies piles up unread; a
+        well-behaved client's shard still finishes with parity."""
+        task = _task("Venus")
+        door = FrontDoor([task], net=NetConfig(workers=1, queue_bound=4,
+                                               **FAST_NET))
+        server, out = _listen(door)
+        client = FrontDoorClient("127.0.0.1", door.port)
+        try:
+            assert client.request({"op": "open", "cluster": "Venus"})[
+                "op"] == "opened"
+            assert _flood_without_reading(door.port, total=20 << 20)
+            batches = list(build_stream(task).batches(
+                task.config.batch_window_s))
+            for bi, batch in enumerate(batches):
+                assert client.send_event("Venus", bi, batch)["op"] == "accepted"
+            client.request({"op": "close", "cluster": "Venus"})
+            client.wait_done("Venus", timeout_s=300.0)
+        finally:
+            client.close()
+        server.join(timeout=60.0)
+        assert not server.is_alive()
+        reports, _ = out["result"]
+        assert parity_surface(reports) == baseline[0].parity_bytes()
+
+
+def _listen(door):
+    """Run ``door.serve`` on an ephemeral loopback port in a thread;
+    returns the thread and the dict its result lands in."""
+    ready = threading.Event()
+    out = {}
+
+    def _serve():
+        out["result"] = door.serve(host="127.0.0.1", port=0, ready=ready)
+
+    server = threading.Thread(target=_serve, daemon=True)
+    server.start()
+    assert ready.wait(timeout=30.0)
+    return server, out
+
+
+def _flood_without_reading(port: int, total: int,
+                           deadline_s: float = 30.0) -> bool:
+    """Send ``total`` bytes of ``{"op": "stats"}`` requests, then one
+    more every 10 ms, without ever reading a reply; returns whether the
+    server hung up within ``deadline_s``.  (The server may read the
+    whole flood before it handles any of it, so the hang-up can come
+    after the flood is sent.)"""
+    frame = pack({"op": "stats"}, fmt="json")
+    chunk = frame * ((64 << 10) // len(frame))
+    sock = socket.create_connection(("127.0.0.1", port), timeout=deadline_s)
+    deadline = time.monotonic() + deadline_s
+    try:
+        for _ in range(total // len(chunk)):
+            sock.sendall(chunk)
+        while time.monotonic() < deadline:
+            sock.sendall(frame)
+            time.sleep(0.01)
+    except (BrokenPipeError, ConnectionResetError):
+        return True
+    finally:
+        sock.close()
+    return False
+
 
 _UNPICKLED: list = []
 
@@ -606,3 +672,58 @@ class TestPassthrough:
         assert parity_surface(reports) == baseline[0].parity_bytes()
         assert stats.passthroughs == 1
         assert stats.frames_sent == 0
+
+    @pytest.mark.parametrize("fork", [
+        pytest.param(True, marks=needs_fork, id="fork"),
+        pytest.param(False, id="no-fork"),
+    ])
+    def test_listen_client_prefix_served_exactly(self, fork, monkeypatch):
+        # A listen-mode client may close its shard after any prefix of
+        # the stream.  On a worker and on the passthrough alike, its
+        # batches are admitted and served as they arrive, and the report
+        # covers exactly the events it sent.
+        from repro.experiments.serving import (
+            SERVE_SMOKE_HISTORY_DAYS,
+            SERVE_SMOKE_MAX_JOBS,
+            SERVE_SMOKE_STREAM_DAYS,
+        )
+        import repro.serve.net.router as router_mod
+
+        if not fork:
+            monkeypatch.setattr(router_mod, "fork_available", lambda: False)
+        task = ShardTask(
+            cluster="Venus", config=_config(),
+            history_days=SERVE_SMOKE_HISTORY_DAYS,
+            stream_days=SERVE_SMOKE_STREAM_DAYS,
+            max_jobs=SERVE_SMOKE_MAX_JOBS,
+        )
+        batches = list(build_stream(task).batches(task.config.batch_window_s))
+        prefix = batches[:len(batches) // 2]
+        session = ServingSession(*build_shard(task))
+        for bi, batch in enumerate(prefix):
+            session.process(bi, batch)
+        expected = session.finish()
+
+        door = FrontDoor([task], net=NetConfig(workers=1, queue_bound=8,
+                                               **FAST_NET))
+        server, out = _listen(door)
+        # A short retry budget: a queue that never drains fails the
+        # test in seconds instead of minutes.
+        client = FrontDoorClient("127.0.0.1", door.port, max_retries=12)
+        try:
+            assert client.request({"op": "open", "cluster": "Venus"})[
+                "op"] == "opened"
+            for bi, batch in enumerate(prefix):
+                reply = client.send_event("Venus", bi, batch)
+                assert reply["op"] == "accepted", (bi, reply)
+            reply = client.request({"op": "close", "cluster": "Venus"})
+            assert reply["total"] == len(prefix)
+            client.wait_done("Venus", timeout_s=300.0)
+        finally:
+            client.close()
+        server.join(timeout=60.0)
+        assert not server.is_alive()
+        (report,), stats = out["result"]
+        assert report.events == sum(len(b) for b in prefix) == 575
+        assert report.parity_bytes() == expected.parity_bytes()
+        assert stats.passthroughs == (0 if fork else 1)
