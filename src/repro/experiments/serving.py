@@ -249,7 +249,7 @@ def exp_serve_frontdoor() -> dict:
     )
     net = NetConfig(
         workers=SERVE_NET_WORKERS, queue_bound=SERVE_NET_QUEUE_BOUND,
-        rpc_deadline_s=1.5, resume_deadline_s=600.0, max_retries=2,
+        rpc_deadline_s=1.5, max_retries=2,
         backoff_base_s=0.01, backoff_cap_s=0.05,
     )
     recovered, stats = serve_clusters_net(

@@ -19,7 +19,7 @@ from .parallel import (
 )
 from .plugins import CESNodeService, PassthroughQueueService, QSSFService
 from .service import PredictionService
-from .supervise import HeartbeatMonitor, SupervisionLog, WorkerContext, backoff_delay
+from .supervise import SupervisionLog, WorkerContext, backoff_delay
 
 __all__ = [
     "ALL_FAULT_KINDS",
@@ -28,7 +28,6 @@ __all__ = [
     "CESNodeService",
     "FaultPlan",
     "FaultSpec",
-    "HeartbeatMonitor",
     "ModelUpdateEngine",
     "PassthroughQueueService",
     "PredictionService",

@@ -15,8 +15,8 @@ Fault kinds:
 
 * ``crash``      — the worker process SIGKILLs itself (no cleanup, no
   goodbye message): the router sees its link hang up.
-* ``hang``       — the worker stalls (acks and pongs stop) until the
-  router's RPC deadline or heartbeat timeout takes its link down.
+* ``hang``       — the worker stalls (its acks stop) until the router's
+  RPC deadline takes its link down.
 * ``slow_start`` — the worker sleeps ``delay_s`` before doing work;
   exercises timeout headroom without failing.
 * ``exception``  — the worker raises :class:`TransientWorkerFault`,

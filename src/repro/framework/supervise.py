@@ -10,7 +10,6 @@ shares with its workers and clients:
   from :func:`~repro.framework.parallel.stable_seed`, never the wall
   clock, so a replayed chaos run waits the identical schedule;
 * :class:`SupervisionLog` — the ordered record of per-attempt outcomes;
-* :class:`HeartbeatMonitor` — liveness from any proof-of-life signal;
 * :class:`WorkerContext` — fires a :class:`~repro.framework.faults.FaultPlan`'s
   process faults inside a real worker process.
 """
@@ -25,7 +24,6 @@ from .faults import FaultSpec, TransientWorkerFault
 from .parallel import stable_seed
 
 __all__ = [
-    "HeartbeatMonitor",
     "SupervisionLog",
     "WorkerContext",
     "backoff_delay",
@@ -50,7 +48,7 @@ class SupervisionLog:
 
     Each event is ``(label, attempt, outcome)`` with outcome one of
     ``ok`` (the attempt delivered its report), ``crash`` (its worker
-    hung up) or ``timeout`` (a deadline or heartbeat expired).
+    hung up) or ``timeout`` (a deadline expired).
     """
 
     def __init__(self) -> None:
@@ -72,33 +70,6 @@ class SupervisionLog:
             "events": [[lbl, attempt, outcome] for lbl, attempt, outcome in self.events],
             "retries": self.retries(),
         }
-
-
-class HeartbeatMonitor:
-    """Liveness tracking from any proof-of-life signal.
-
-    The router beats it from socket acks and pongs; ``timeout_s=None``
-    disables expiry (gaps are still recorded).
-    """
-
-    __slots__ = ("timeout_s", "last_beat", "hist")
-
-    def __init__(self, timeout_s: float | None = None, *, hist=None) -> None:
-        self.timeout_s = timeout_s
-        self.last_beat = time.monotonic()
-        self.hist = hist
-
-    def beat(self, now: float | None = None) -> None:
-        now = time.monotonic() if now is None else now
-        if self.hist is not None:
-            self.hist.record(now - self.last_beat)
-        self.last_beat = now
-
-    def expired(self, now: float | None = None) -> bool:
-        if self.timeout_s is None:
-            return False
-        now = time.monotonic() if now is None else now
-        return now - self.last_beat > self.timeout_s
 
 
 class WorkerContext:

@@ -151,9 +151,11 @@ class FramedConn:
 
     ``send`` frames and queues; :meth:`pump` flushes what the kernel
     will take and releases any fault-delayed frames; :meth:`receive`
-    drains the socket and returns every complete decoded message.  A
+    reads the socket and returns every complete decoded message.  It
+    reads ahead by at most one :attr:`max_frame` frame: past that, the
+    rest waits in the kernel and the peer meets TCP backpressure.  A
     peer hangup or socket error sets ``closed`` — the router treats
-    that like a dead worker.
+    that as a dead worker.
     """
 
     #: largest frame (tag + payload) a peer may announce
@@ -164,8 +166,6 @@ class FramedConn:
         self.sock = sock
         self.faults = faults
         self.closed = False
-        self.frames_sent = 0
-        self.frames_received = 0
         self._out = bytearray()
         self._in = bytearray()
 
@@ -187,7 +187,6 @@ class FramedConn:
         else:
             for f in self.faults.outgoing(frame, time.monotonic()):
                 self._out += f
-        self.frames_sent += 1
         self.pump()
 
     def pump(self) -> None:
@@ -215,7 +214,7 @@ class FramedConn:
 
     def receive(self) -> list[object]:
         """Every complete message currently readable (possibly none)."""
-        while not self.closed:
+        while not self.closed and len(self._in) <= self.max_frame + _HEADER.size:
             try:
                 chunk = self.sock.recv(1 << 16)
             except (BlockingIOError, InterruptedError):
@@ -240,7 +239,6 @@ class FramedConn:
             del self._in[:_HEADER.size + length]
             if self.faults is None or self.faults.incoming():
                 msgs.append(self._decode(body))
-                self.frames_received += 1
         return msgs
 
     def close(self) -> None:

@@ -22,7 +22,10 @@ Two entry modes drive one :class:`~repro.serve.net.router.Router`:
   job's submit — is refused with ``{"op": "error"}`` too, but the
   client stays connected.  A client that lets more than 1 MiB of
   replies pile up unread is disconnected without a reply: it is not
-  reading, and buffering for it would grow without bound.
+  reading, and buffering for it would grow without bound.  Nor is a
+  client read more than one maximum-size frame ahead: TCP pushes back.
+  The loop blocks only in the router's one wait, which also watches the
+  listening socket and the clients, so a request is served on arrival.
 
 :class:`FrontDoorClient` is the matching blocking client (also the
 load generator the loopback benchmark drives).
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import selectors
 import socket
 import struct
 import time
@@ -47,7 +49,7 @@ from ..runtime import ShardTask, build_stream
 from ..server import ServeConfig
 from ..stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventBatch
 from .framing import FramedConn, pack, unpack_json
-from .router import NetConfig, NetStats, Router
+from .router import POLL_S, NetConfig, NetStats, Router
 
 __all__ = ["FrontDoor", "FrontDoorClient", "serve_clusters_net"]
 
@@ -178,31 +180,33 @@ class FrontDoor:
         self.port = lsock.getsockname()[1]
         if ready is not None:
             ready.set()
-        sel = selectors.DefaultSelector()
-        sel.register(lsock, selectors.EVENT_READ)
         clients: list[_ClientConn] = []
         opened = False
         try:
             while True:
-                sel.select(timeout=router.cfg.poll_interval_s)
+                moved = False
                 try:
                     csock, _ = lsock.accept()
                     clients.append(_ClientConn(csock))
+                    moved = True
                 except (BlockingIOError, InterruptedError):
                     pass
                 for client in clients:
                     client.pump()
                     for msg in client.receive():
+                        moved = True
                         if client.closed:
                             break  # dropped mid-batch: ignore the rest
                         if self._client_msg(client, msg):
                             opened = True
                 clients = [c for c in clients if not c.closed]
-                router.step()
+                if router.step():
+                    moved = True
                 if opened and not clients and router.done():
                     break
+                if not moved:
+                    router.wait([lsock, *(c.sock for c in clients)])
         finally:
-            sel.close()
             lsock.close()
             router.shutdown()
         return [
@@ -250,7 +254,7 @@ class FrontDoor:
                 obs.counter_add("net.busy_rejections")
                 client.send({
                     "op": "busy", "cluster": cluster, "bi": msg["bi"],
-                    "retry_after_s": 4 * router.cfg.poll_interval_s,
+                    "retry_after_s": 4 * POLL_S,
                 }, fmt="json")
                 return False
             bi = int(msg["bi"])

@@ -16,9 +16,10 @@ stops making progress:
    deterministic (:func:`~repro.framework.supervise.backoff_delay` over
    ``stable_seed``, never the wall clock).  Workers skip duplicate
    batch indices, so resends are idempotent by construction.
-3. **degraded-to-sibling** — the retry budget is spent or the link died
-   (socket EOF, dead process, expired heartbeat): the link is taken
-   down (and respawned with a fresh epoch when budget remains), and
+3. **degraded-to-sibling** — the retry budget is spent or the link hit
+   EOF (the one dead-worker signal; a hung worker is left to the RPC
+   deadline): the link is taken down, its process killed and
+   reaped (and respawned with a fresh epoch when budget remains), and
    each of its routes is re-resumed *from its latest checkpoint* on the
    next alive worker in its hash-ring preference order.
 4. **FIFO passthrough** — no worker can host the shard (fork
@@ -32,13 +33,16 @@ stops making progress:
 
 Every attempt at serving a shard ends in one
 :class:`~repro.framework.supervise.SupervisionLog` event (``Router.log``):
-``crash`` when its worker hung up, ``timeout`` when a deadline or the
-heartbeat expired, ``ok`` when its report arrived (passthrough
-included); the report's ``retries`` counts the failed attempts.
+``crash`` when its worker hung up, ``timeout`` when a deadline expired,
+``ok`` when its report arrived (passthrough included); the report's
+``retries`` counts the failed attempts.
 Failure isolation is per worker process — shards sharing a worker
 share its crash, and each resumes from its own checkpoint.  Without
 fork there is no worker process, so a plan's process faults (crash,
 hang, ...) do not fire in the passthrough.
+
+The drive loop and the listen-mode front door block only in
+:meth:`Router.wait`.  A worker reads EOF, and exits, when the router dies.
 
 A replica group (``--replicas K``) is K routes over one cluster's
 stream, each opened with its slice of it
@@ -58,11 +62,11 @@ import multiprocessing
 import selectors
 import socket
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ...framework.faults import FaultPlan
 from ...framework.parallel import fork_available
-from ...framework.supervise import HeartbeatMonitor, SupervisionLog, backoff_delay
+from ...framework.supervise import SupervisionLog, backoff_delay
 from ...obs import collect as obs
 from ..runtime import ShardTask, build_shard, build_stream
 from ..server import ServingSession
@@ -73,11 +77,17 @@ from .worker import worker_main
 
 __all__ = ["NetConfig", "NetStats", "Router", "RouteState", "WorkerLink"]
 
+#: the longest :meth:`Router.wait` blocks when no socket turns readable
+POLL_S = 0.005
+#: deadline for a resume or a finish reply (the worker fits models, or
+#: closes its session, before replying)
+RESUME_DEADLINE_S = 600.0
+
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Control-plane knobs: pool size, backpressure, deadlines, retry
-    shape.  The CLI's ``--max-retries``/``--retry-base``/``--retry-cap``
+    """Control-plane knobs: pool size, backpressure, the RPC deadline,
+    retry shape.  The CLI's ``--max-retries``/``--retry-base``/``--retry-cap``
     set ``max_retries``/``backoff_base_s``/``backoff_cap_s``."""
 
     workers: int = 2
@@ -85,37 +95,21 @@ class NetConfig:
     queue_bound: int = 32
     #: progress deadline per streamed RPC window
     rpc_deadline_s: float = 60.0
-    #: deadline for resume (the worker fits models before replying)
-    resume_deadline_s: float = 600.0
     max_retries: int = 2
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
-    poll_interval_s: float = 0.005
-    #: None disables heartbeat enforcement (acks already prove progress)
-    heartbeat_timeout_s: float | None = None
-    vnodes: int = 64
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.queue_bound < 1:
             raise ValueError(f"queue_bound must be >= 1, got {self.queue_bound}")
-        if self.rpc_deadline_s <= 0 or self.resume_deadline_s <= 0:
+        if self.rpc_deadline_s <= 0:
             raise ValueError("deadlines must be positive")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
             raise ValueError("backoff parameters must be >= 0")
-        if self.poll_interval_s <= 0:
-            raise ValueError(
-                f"poll_interval_s must be positive, got {self.poll_interval_s}"
-            )
-        if self.heartbeat_timeout_s is not None and self.heartbeat_timeout_s <= 0:
-            raise ValueError(
-                f"heartbeat_timeout_s must be positive, got {self.heartbeat_timeout_s}"
-            )
-        if self.vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
 
 
 @dataclass
@@ -136,41 +130,22 @@ class NetStats:
     max_queue_depth: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "frames_sent": self.frames_sent,
-            "acks": self.acks,
-            "retries": self.retries,
-            "gap_rewinds": self.gap_rewinds,
-            "reroutes": self.reroutes,
-            "respawns": self.respawns,
-            "link_failures": self.link_failures,
-            "passthroughs": self.passthroughs,
-            "busy_rejections": self.busy_rejections,
-            "dropped_frames": self.dropped_frames,
-            "max_queue_depth": self.max_queue_depth,
-        }
+        return asdict(self)
 
 
 class WorkerLink:
     """One worker process + its framed socket, from the router's side."""
 
-    __slots__ = ("name", "epoch", "proc", "conn", "alive", "spawns", "hb",
-                 "last_ping")
+    __slots__ = ("name", "epoch", "proc", "conn", "alive", "spawns")
 
     def __init__(self, name: str, epoch: int, proc, conn: FramedConn,
-                 hb: HeartbeatMonitor, spawns: int = 0) -> None:
+                 spawns: int = 0) -> None:
         self.name = name
         self.epoch = epoch
         self.proc = proc
         self.conn = conn
         self.alive = True
         self.spawns = spawns
-        self.hb = hb
-        self.last_ping = 0.0
-
-
-#: route phases, in ladder order
-_PHASES = ("resuming", "streaming", "finishing", "local", "done")
 
 
 class RouteState:
@@ -178,7 +153,7 @@ class RouteState:
 
     __slots__ = (
         "cluster", "task", "batches", "total", "worker", "attempt",
-        "retries", "reroutes", "next_send", "acked", "ckpt", "report",
+        "retries", "next_send", "acked", "ckpt", "report",
         "phase", "deadline", "backoff_until", "need_resume", "sent_at",
         "session",
     )
@@ -194,7 +169,6 @@ class RouteState:
         self.worker: str | None = None
         self.attempt = 0
         self.retries = 0
-        self.reroutes = 0
         self.next_send = 0
         self.acked = 0
         self.ckpt = None
@@ -208,7 +182,11 @@ class RouteState:
         self.session: ServingSession | None = None
 
 
-def _worker_entry(sock, name: str, plan) -> None:
+def _worker_entry(sock, router_end, name: str, plan) -> None:
+    # The fork copied the router's end of this link; closing it lets the
+    # worker read EOF, and exit, when the router dies.  worker_main is
+    # looked up here, at call time, so a rebinding of it takes effect.
+    router_end.close()
     worker_main(sock, name, plan)
 
 
@@ -233,7 +211,6 @@ class Router:
         enabled = obs.is_enabled()
         self._qdepth = obs.histogram("net.queue_depth") if enabled else None
         self._rpc_hist = obs.histogram("net.rpc_s") if enabled else None
-        self._hb_hist = obs.histogram("net.heartbeat_gap_s") if enabled else None
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -243,20 +220,20 @@ class Router:
         for i in range(self.cfg.workers):
             name = f"w{i}"
             self.links[name] = self._spawn(name, epoch=0, spawns=0)
-        self.ring = HashRing(list(self.links), vnodes=self.cfg.vnodes)
+        self.ring = HashRing(list(self.links))
 
     def _spawn(self, name: str, epoch: int, spawns: int) -> WorkerLink:
         parent_sock, child_sock = socket.socketpair()
         proc = self._mp.Process(
-            target=_worker_entry, args=(child_sock, name, self.plan), daemon=True
+            target=_worker_entry, args=(child_sock, parent_sock, name, self.plan),
+            daemon=True,
         )
         proc.start()
         child_sock.close()
         conn = FramedConn(
             parent_sock, NetFaultFilter(self.plan, f"link:{name}", epoch)
         )
-        hb = HeartbeatMonitor(self.cfg.heartbeat_timeout_s, hist=self._hb_hist)
-        return WorkerLink(name, epoch, proc, conn, hb, spawns=spawns)
+        return WorkerLink(name, epoch, proc, conn, spawns=spawns)
 
     def shutdown(self) -> None:
         deadline = time.monotonic() + 2.0
@@ -302,7 +279,7 @@ class Router:
         route.phase = "resuming"
         route.need_resume = False
         route.sent_at.clear()
-        route.deadline = now + self.cfg.resume_deadline_s
+        route.deadline = now + RESUME_DEADLINE_S
 
     # -- the event loop ------------------------------------------------
 
@@ -311,8 +288,8 @@ class Router:
 
     def step(self) -> bool:
         """One pump: drain links, advance routes, enforce deadlines.
-        Returns whether any message moved (the idle signal the drive
-        loop uses to decide between spinning on and backing off)."""
+        Returns whether any message moved (the idle signal its callers
+        use to decide between stepping again and :meth:`wait`)."""
         now = time.monotonic()
         busy = False
         for link in list(self.links.values()):
@@ -322,14 +299,8 @@ class Router:
             for msg in link.conn.receive():
                 busy = True
                 self._handle(link, msg, now)
-            if link.conn.closed or not link.proc.is_alive():
+            if link.conn.closed:
                 self._link_down(link, now, reason="hangup")
-            elif link.hb.expired(now):
-                self._link_down(link, now, reason="heartbeat")
-            elif self.cfg.heartbeat_timeout_s is not None:
-                if now - link.last_ping > self.cfg.heartbeat_timeout_s / 3.0:
-                    link.conn.send({"op": "ping"})
-                    link.last_ping = now
         for route in self.routes.values():
             if route.phase == "local":
                 if self._serve_local(route):
@@ -346,24 +317,22 @@ class Router:
                 self._route_stalled(route, now)
         return busy
 
-    def _idle_wait(self) -> None:
-        """Block until a link socket turns readable or the poll
-        interval elapses: the drive loop wakes on the first ack
-        instead of sleeping blind and adding up to a full poll
-        interval of latency per ack round."""
-        sel = selectors.DefaultSelector()
-        try:
-            armed = False
+    def wait(self, socks=()) -> None:
+        """Block until a live link socket or one of ``socks`` turns
+        readable, or :data:`POLL_S` elapses: a caller whose step moved
+        nothing wakes on the next ack or request instead of sleeping
+        blind.  A selector, not ``select.select``, so descriptor numbers
+        past ``FD_SETSIZE`` work."""
+        with selectors.DefaultSelector() as sel:
             for link in self.links.values():
-                if link.alive and not link.conn.closed:
+                if link.alive:
                     sel.register(link.conn.sock, selectors.EVENT_READ)
-                    armed = True
-            if armed:
-                sel.select(self.cfg.poll_interval_s)
+            for sock in socks:
+                sel.register(sock, selectors.EVENT_READ)
+            if sel.get_map():
+                sel.select(POLL_S)
             else:
-                time.sleep(self.cfg.poll_interval_s)
-        finally:
-            sel.close()
+                time.sleep(POLL_S)
 
     def drive(self) -> tuple[list, NetStats]:
         """Local-drive mode: build every shard's stream here, route all
@@ -388,7 +357,7 @@ class Router:
                 # in-flight window full instead of draining it 5 ms at
                 # a time.
                 if not self.step():
-                    self._idle_wait()
+                    self.wait()
         finally:
             self.shutdown()
         if obs.is_enabled():
@@ -401,10 +370,7 @@ class Router:
     # -- message handling ----------------------------------------------
 
     def _handle(self, link: WorkerLink, msg: dict, now: float) -> None:
-        link.hb.beat(now)
         op = msg.get("op")
-        if op == "pong":
-            return
         route = self.routes.get(msg.get("cluster"))
         if route is None or route.worker != link.name:
             return  # stale: the shard moved on
@@ -514,7 +480,7 @@ class Router:
         ):
             link.conn.send({"op": "finish", "cluster": route.cluster})
             route.phase = "finishing"
-            route.deadline = now + self.cfg.resume_deadline_s
+            route.deadline = now + RESUME_DEADLINE_S
             return True
         else:
             route.deadline = None  # caught up; nothing to wait for
@@ -546,12 +512,11 @@ class Router:
         route.sent_at.clear()
         if route.phase == "resuming":
             route.need_resume = True
-            route.deadline = now + delay + self.cfg.resume_deadline_s
+            route.deadline = now + delay + RESUME_DEADLINE_S
         else:
             if route.phase == "finishing":
                 route.phase = "streaming"  # re-advance resends finish
             route.deadline = now + delay + self.cfg.rpc_deadline_s
-        link.conn.send({"op": "ping"})
 
     def _link_down(self, link: WorkerLink, now: float, reason: str) -> None:
         if not link.alive:
@@ -583,7 +548,6 @@ class Router:
         """End the route's current attempt as ``outcome`` and start the
         next one on a sibling (or in-process)."""
         self.log.record(route.cluster, route.attempt, outcome)
-        route.reroutes += 1
         route.attempt += 1
         route.retries = 0
         self.stats.reroutes += 1

@@ -21,7 +21,8 @@ with a tiny RPC vocabulary over one framed socket:
 * ``finish``   — close the session; replies ``report`` with the shard
   report (this process's obs state piggybacked on it, so a worker that
   dies first ships nothing and nothing is double-counted).
-* ``ping``/``shutdown`` — liveness probe / clean exit.
+* ``shutdown`` — clean exit.  EOF (the router closed the link or died)
+  ends the worker too.
 
 A shard never moves off a live worker: the router kills a link's
 process before rerouting its shards, so no session is left to drop.
@@ -109,8 +110,6 @@ def worker_main(sock, name: str, plan: FaultPlan | None = None) -> None:
                         "worker": name,
                         "report": obs.carry_result(report),
                     })
-            elif op == "ping":
-                conn.send({"op": "pong", "worker": name})
             elif op == "shutdown":
                 running = False
         # Acks coalesce per drain round: one cumulative ack per shard

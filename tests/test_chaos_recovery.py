@@ -28,7 +28,6 @@ _TASK = dict(history_days=14, stream_days=1.0, max_jobs=400)
 #: respawned worker
 FAST_NET = NetConfig(
     workers=1, max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01,
-    poll_interval_s=0.005,
 )
 
 

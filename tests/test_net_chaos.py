@@ -11,14 +11,20 @@ and the FIFO-passthrough rung when no worker pool exists.
 
 import hashlib
 import json
+import os
 import pickle
+import select
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.framework import FaultPlan, FaultSpec, fork_available
 from repro.obs import collect as obs
 from repro.serve import (
@@ -38,6 +44,7 @@ from repro.serve.net import (
     unpack,
 )
 from repro.serve.net.framing import TAG_JSON, unpack_json
+from repro.serve.net.frontdoor import _CLIENT_MAX_FRAME, _ClientConn
 from repro.serve.server import ServingSession, encode_decisions
 from repro.serve.stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventBatch
 
@@ -48,8 +55,7 @@ _TASK = dict(history_days=14, stream_days=1.0, max_jobs=300)
 #: tight deadlines/backoff so breaker rungs trip in test time, not
 #: production time (mirrors FAST_SUP in test_chaos_recovery)
 FAST_NET = dict(
-    rpc_deadline_s=1.5, resume_deadline_s=120.0, max_retries=2,
-    backoff_base_s=0.01, backoff_cap_s=0.05, poll_interval_s=0.005,
+    rpc_deadline_s=1.5, max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.05,
 )
 
 
@@ -129,6 +135,34 @@ class TestFraming:
             unpack_json(pack({"op": "status"})[4:])  # a pickle frame
         with pytest.raises(ValueError):
             unpack_json(b"J\xff\xfe")  # not UTF-8
+
+    def test_client_link_reads_at_most_one_frame_ahead(self):
+        """A flooding client is read one maximum-size frame ahead, not
+        drained: the rest stays in the kernel, where TCP pushes back."""
+        sock = _FloodSocket(16 << 20)
+        msgs = _ClientConn(sock).receive()
+        assert msgs and all(m == {"op": "stats"} for m in msgs)
+        assert sock.read <= _CLIENT_MAX_FRAME + 4 + 65_536
+
+
+class _FloodSocket:
+    """A non-blocking socket stand-in offering ``total`` bytes of
+    ``{"op": "stats"}`` frames; ``read`` counts the bytes taken."""
+
+    def __init__(self, total: int) -> None:
+        frame = pack({"op": "stats"}, fmt="json")
+        self.data = frame * (total // len(frame))
+        self.read = 0
+
+    def setblocking(self, flag: bool) -> None:
+        pass
+
+    def recv(self, n: int) -> bytes:
+        if self.read >= len(self.data):
+            raise BlockingIOError
+        chunk = self.data[self.read:self.read + n]
+        self.read += len(chunk)
+        return chunk
 
 
 def _filter(faults, label="link:w0", epoch=0):
@@ -264,8 +298,6 @@ class TestNetConfig:
             NetConfig(queue_bound=0)
         with pytest.raises(ValueError, match="deadlines"):
             NetConfig(rpc_deadline_s=0.0)
-        with pytest.raises(ValueError, match="vnodes"):
-            NetConfig(vnodes=0)
 
 
 @needs_fork
@@ -475,6 +507,31 @@ class TestListenMode:
         reports, _ = out["result"]
         assert parity_surface(reports) == baseline[0].parity_bytes()
 
+    def test_client_requests_do_not_wait_out_the_poll(self, monkeypatch):
+        """The front door blocks in the router's one wait, which watches
+        the clients too: a request is served when it arrives, not when
+        the poll interval runs out."""
+        import repro.serve.net.router as router_mod
+
+        monkeypatch.setattr(router_mod, "POLL_S", 1.0)
+        door = FrontDoor([_task("Venus")], net=NetConfig(workers=1, **FAST_NET))
+        server, _ = _listen(door)
+        client = FrontDoorClient("127.0.0.1", door.port)
+        try:
+            assert client.request({"op": "open", "cluster": "Venus"})[
+                "op"] == "opened"
+            t0 = time.monotonic()
+            for _ in range(20):
+                assert client.request({"op": "stats"})["op"] == "stats"
+            elapsed = time.monotonic() - t0
+            client.request({"op": "close", "cluster": "Venus"})
+            client.wait_done("Venus", timeout_s=300.0)
+        finally:
+            client.close()
+        server.join(timeout=60.0)
+        assert not server.is_alive()
+        assert elapsed < 5.0  # waiting out each 1 s poll takes ~20 s
+
     def test_client_that_never_reads_is_dropped(self, baseline):
         """A client that keeps sending requests but never reads a reply
         is disconnected once 1 MiB of replies piles up unread; a
@@ -539,6 +596,55 @@ def _flood_without_reading(port: int, total: int,
     finally:
         sock.close()
     return False
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (from /proc)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            stat = f.read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@needs_fork
+class TestWorkerLifetime:
+    def test_workers_exit_when_router_dies(self):
+        """A worker holds no copy of the router's end of its link, so
+        when the router is SIGKILLed its workers read EOF and exit."""
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("requires /proc")
+        script = (
+            "import time\n"
+            "from repro.serve.net import NetConfig, Router\n"
+            "router = Router([], net=NetConfig(workers=2))\n"
+            "router.start()\n"
+            "print(*(l.proc.pid for l in router.links.values()), flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        pids: list[int] = []
+        try:
+            # A start that hangs fails the test instead of hanging it.
+            assert select.select([proc.stdout], [], [], 60.0)[0]
+            pids = [int(p) for p in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [p for p in pids if _running(p)]
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 _UNPICKLED: list = []

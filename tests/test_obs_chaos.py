@@ -6,7 +6,7 @@ metric totals as a forked worker pool.
 The comparison surface is the published ``serve.*`` counters, which the
 server derives from its checkpointed loop state exactly once at the end
 of a completed run — the crash-recovery analogue of the payload parity
-guarantee.  Live wall-clock histograms (phase timings, heartbeat gaps)
+guarantee.  Live wall-clock histograms (phase timings, RPC latencies)
 are per-attempt by construction and excluded.
 """
 
@@ -25,7 +25,6 @@ FAST_NET = NetConfig(
     max_retries=2,
     backoff_base_s=0.001,
     backoff_cap_s=0.01,
-    poll_interval_s=0.005,
 )
 
 _TASK = dict(history_days=14, stream_days=1.0, max_jobs=400, checkpoint_every=50)
