@@ -62,7 +62,6 @@ def run_drs_grid(
     total_nodes: int,
     grid: Sequence[DRSParams],
     arrivals_per_bin: np.ndarray | None = None,
-    mode: str = "fast",
 ) -> list[DRSOutcome]:
     """Sweep K parameterizations over one cluster's evaluation window.
 
@@ -73,14 +72,11 @@ def run_drs_grid(
         [
             DRSCase(demand, predicted_future, total_nodes, p, arrivals_per_bin)
             for p in grid
-        ],
-        mode=mode,
+        ]
     )
 
 
-def run_vanilla_drs_batch(
-    cases: Sequence[DRSCase], mode: str = "fast"
-) -> list[DRSOutcome]:
+def run_vanilla_drs_batch(cases: Sequence[DRSCase]) -> list[DRSOutcome]:
     """Reactive-baseline variant of :func:`run_drs_batch`.
 
     Each case is rewritten the way :func:`~repro.energy.drs.run_vanilla_drs`
@@ -97,8 +93,7 @@ def run_vanilla_drs_batch(
                 c.arrivals_per_bin,
             )
             for c in cases
-        ],
-        mode=mode,
+        ]
     )
 
 

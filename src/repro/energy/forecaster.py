@@ -139,8 +139,6 @@ class NodeDemandForecaster:
         horizon_bins: int = 18,  # 3 hours at 10-minute bins (§4.3.2)
         features: ForecastFeatures | None = None,
         gbdt_params: GBDTParams | None = None,
-        *,
-        mode: str = "fast",
     ) -> None:
         if horizon_bins < 1:
             raise ValueError("horizon_bins must be >= 1")
@@ -148,8 +146,7 @@ class NodeDemandForecaster:
         self.features = features or ForecastFeatures()
         self.model = GBDTRegressor(
             gbdt_params
-            or GBDTParams(n_estimators=150, max_depth=6, min_samples_leaf=20),
-            mode=mode,
+            or GBDTParams(n_estimators=150, max_depth=6, min_samples_leaf=20)
         )
         self._fitted = False
         self._train_end = 0  # exclusive end of indices already trained on
@@ -240,14 +237,11 @@ class GBDTSeriesForecaster:
         features: ForecastFeatures | None = None,
         gbdt_params: GBDTParams | None = None,
         update_trees: int | None = None,
-        *,
-        mode: str = "fast",
     ) -> None:
         self.inner = NodeDemandForecaster(
             horizon_bins=1,
             features=features,
             gbdt_params=gbdt_params,
-            mode=mode,
         )
         self.update_trees = update_trees
         self._history: np.ndarray | None = None

@@ -12,21 +12,14 @@ preallocated ``(T, batch, hidden)`` arrays rather than per-step dicts,
 and the weight gradients are accumulated with two ``(T·batch)``-row
 GEMMs after the backward recursion instead of per-timestep rank-1
 updates.  :meth:`LSTMForecaster.update` warm-starts from the previous
-fit — weights, Adam moments and the data RNG carry forward, the
-standardization is frozen — and fine-tunes for a short
-``update_epochs`` budget, which is what makes rolling-origin
-re-evaluation cheap.
-
-Like the GBDT (``ml/gbdt.py``) and the simulator (``sim/fast.py``) the
-fit path has two modes.  ``mode="reference"`` fine-tunes with the
-scratch per-window schedule: ``update_epochs`` shuffled minibatch epochs
-over *every* window of the grown series.  ``mode="fast"`` (default)
-fold-batches instead: only the windows whose target is a newly appended
-point are built, stacked into one batch, and driven through
-``update_epochs`` full-batch Adam steps — one forward/backward pair per
-step, no RNG draws.  The two disagree only within the tolerance band the
-rolling-origin tests pin (the GBDT modes, by contrast, are
-byte-identical); ``fit`` is the same minibatch schedule in both modes.
+fit — weights and Adam moments carry forward, the standardization is
+frozen — and fine-tunes fold-batched: only the windows whose target is
+a newly appended point are built, stacked into one batch, and driven
+through ``update_epochs`` full-batch Adam steps (one forward/backward
+pair per step, no RNG draws).  That is what makes rolling-origin
+re-evaluation cheap; its oracle is the scratch refit per fold
+(``evaluate_forecaster(..., mode="scratch")``), which the warm walk
+must track within the rolling-origin tolerance band.
 """
 
 from __future__ import annotations
@@ -36,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["LSTMParams", "LSTMForecaster"]
-
-_FIT_MODES = ("fast", "reference")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -67,13 +58,8 @@ class LSTMParams:
 class LSTMForecaster:
     """Sequence-to-one LSTM: window of past values -> next value."""
 
-    def __init__(
-        self, params: LSTMParams | None = None, *, mode: str = "fast"
-    ) -> None:
-        if mode not in _FIT_MODES:
-            raise ValueError(f"mode must be one of {_FIT_MODES}, got {mode!r}")
+    def __init__(self, params: LSTMParams | None = None) -> None:
         self.params = params or LSTMParams()
-        self.mode = mode
         self._weights: dict[str, np.ndarray] | None = None
         self._mu: float = 0.0
         self._sd: float = 1.0
@@ -198,14 +184,14 @@ class LSTMForecaster:
             v_hat = v_state[k] / (1 - beta2**step)
             w[k] -= p.lr * m_hat / (np.sqrt(v_hat) + eps)
 
-    def _train(self, epochs: int) -> None:
-        """Run minibatch Adam for ``epochs`` over the current history."""
+    def _train(self) -> None:
+        """Run minibatch Adam for ``params.epochs`` over the history."""
         p = self.params
         X, target = self._window_matrix()
         n_samples = X.shape[0]
         w = self._weights
         rng = self._rng
-        for _epoch in range(epochs):
+        for _epoch in range(p.epochs):
             order = rng.permutation(n_samples)
             epoch_loss = 0.0
             for lo in range(0, n_samples, p.batch_size):
@@ -220,8 +206,7 @@ class LSTMForecaster:
     def _train_tail(self, n_new: int) -> None:
         """Fold-batched fine-tune: one stacked batch of the windows whose
         target is one of the ``n_new`` appended points, driven through
-        ``update_epochs`` full-batch Adam steps.  Consumes no RNG draws,
-        so interleaving updates never perturbs a later reference fit."""
+        ``update_epochs`` full-batch Adam steps.  Consumes no RNG draws."""
         p = self.params
         z = (self._history - self._mu) / self._sd
         t_idx = np.arange(max(p.window, z.size - n_new), z.size)
@@ -252,7 +237,7 @@ class LSTMForecaster:
         self._adam_v = {k: np.zeros_like(v) for k, v in self._weights.items()}
         self._adam_step = 0
         self.loss_curve_ = []
-        self._train(p.epochs)
+        self._train()
         return self
 
     def update(self, new_points: np.ndarray) -> "LSTMForecaster":
@@ -260,12 +245,9 @@ class LSTMForecaster:
 
         Weights and Adam moments continue from the previous fit; the
         standardization constants stay frozen so the network keeps
-        seeing inputs on the scale it was trained on.  In ``"fast"``
-        mode the fine-tune is fold-batched (one stacked batch of the
-        new-target windows, ``update_epochs`` full-batch Adam steps);
-        in ``"reference"`` mode it runs ``update_epochs`` shuffled
-        minibatch epochs over *all* windows of the grown series, with
-        the shuffling RNG carried forward.
+        seeing inputs on the scale it was trained on.  The fine-tune is
+        fold-batched: one stacked batch of the new-target windows,
+        ``update_epochs`` full-batch Adam steps.
         """
         if self._weights is None or self._history is None:
             raise RuntimeError("model not fitted; call fit() before update()")
@@ -275,10 +257,7 @@ class LSTMForecaster:
         if new_points.size == 0:
             return self
         self._history = np.concatenate([self._history, new_points])
-        if self.mode == "fast":
-            self._train_tail(new_points.size)
-        else:
-            self._train(self.params.update_epochs)
+        self._train_tail(new_points.size)
         return self
 
     def forecast(self, horizon: int) -> np.ndarray:

@@ -14,10 +14,10 @@ fallback for models without ``update`` and the correctness oracle the
 tolerance tests compare against (``mode="scratch"``).
 
 The fold walk composes with the models' own fast fit paths: the GBDT
-continues boosting on its frozen histogram cache and the LSTM (in its
-default ``mode="fast"``) turns each fold's ``update(new_points)`` into
-one fold-batched BPTT batch — so an entire rolling-origin walk drives a
-single batched fine-tune per fold rather than window-by-window tapes.
+continues boosting on its frozen histogram cache and the LSTM turns
+each fold's ``update(new_points)`` into one fold-batched BPTT batch —
+so an entire rolling-origin walk drives a single batched fine-tune per
+fold rather than window-by-window tapes.
 
 :func:`compare_forecasters` additionally fans independent models out over
 the framework's forked worker pool (``jobs``); results are identical to
@@ -100,11 +100,10 @@ def evaluate_forecaster(
 
     * ``"auto"`` (default) — use the model's ``update(new_points)`` when
       it implements the incremental protocol, else re-fit from scratch;
-    * ``"incremental"`` — require ``update`` (raises otherwise);
     * ``"scratch"`` — always re-fit from scratch (the correctness
       oracle; this is the pre-incremental behavior, bit for bit).
     """
-    if mode not in ("auto", "incremental", "scratch"):
+    if mode not in ("auto", "scratch"):
         raise ValueError(f"unknown mode {mode!r}")
     series = np.asarray(series, dtype=float)
     folds = list(rolling_origin_splits(series.size, initial, horizon, step))
@@ -112,12 +111,7 @@ def evaluate_forecaster(
         raise ValueError("no evaluation folds; series too short for initial+horizon")
 
     model = make_model()
-    incremental = mode != "scratch" and supports_update(model)
-    if mode == "incremental" and not incremental:
-        raise TypeError(
-            f"{type(model).__name__} does not implement update(); "
-            "use mode='auto' or 'scratch'"
-        )
+    incremental = mode == "auto" and supports_update(model)
 
     errors = []
     fitted_upto = 0

@@ -139,13 +139,11 @@ class MLEstimator:
     ====================  =====================================================
     """
 
-    def __init__(
-        self, params: GBDTParams | None = None, *, mode: str = "fast"
-    ) -> None:
+    def __init__(self, params: GBDTParams | None = None) -> None:
         self.params = params or GBDTParams(
             n_estimators=150, learning_rate=0.1, max_depth=7, min_samples_leaf=20
         )
-        self.model = GBDTRegressor(self.params, mode=mode)
+        self.model = GBDTRegressor(self.params)
         self._user_enc = OrdinalEncoder()
         self._vc_enc = OrdinalEncoder()
         self._user_freq = FrequencyEncoder()

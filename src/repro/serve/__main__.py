@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--queue-bound", type=int, default=32, metavar="N",
         help="max unacked batches in flight per shard; the front door "
-             "answers busy/retry-after past it (default 32)",
+             "holds a client's next event until one is acked (default 32)",
     )
     parser.add_argument(
         "--replicate", choices=("local",), default="local",
@@ -377,9 +377,8 @@ def _run_listen(args, clusters, config, netcfg, fault_plan) -> int:
     door = FrontDoor(_shard_tasks(args, clusters, config), net=netcfg,
                      fault_plan=fault_plan)
     banner = _ReadyBanner(door, args.workers, args.queue_bound)
-    reports, stats = door.serve(host=host, port=port, ready=banner)
-    print(f"served {len(reports)} shard(s); "
-          f"{stats.busy_rejections} busy rejection(s)")
+    reports, _ = door.serve(host=host, port=port, ready=banner)
+    print(f"served {len(reports)} shard(s)")
     return 0
 
 
@@ -401,10 +400,9 @@ def _run_connect(args, clusters, config) -> int:
             )
             for bi, batch in enumerate(batches):
                 client.send_event(task.cluster, bi, batch)
-            client.request({"op": "close", "cluster": task.cluster})
-            status = client.wait_done(task.cluster)
+            reply = client.request({"op": "close", "cluster": task.cluster})
             print(f"[{task.cluster:7s}] {len(batches)} batches served; "
-                  f"parity {status.get('parity_sha', '')[:16]}")
+                  f"parity {reply.get('parity_sha', '')[:16]}")
     finally:
         client.close()
     return 0

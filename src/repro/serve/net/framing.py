@@ -151,15 +151,17 @@ class FramedConn:
 
     ``send`` frames and queues; :meth:`pump` flushes what the kernel
     will take and releases any fault-delayed frames; :meth:`receive`
-    reads the socket and returns every complete decoded message.  It
-    reads ahead by at most one :attr:`max_frame` frame: past that, the
-    rest waits in the kernel and the peer meets TCP backpressure.  A
-    peer hangup or socket error sets ``closed`` — the router treats
-    that as a dead worker.
+    reads the socket and returns the complete messages it decodes, at
+    most :attr:`max_messages` of them.  It reads ahead by at most one
+    :attr:`max_frame` frame: past that, the rest waits in the kernel
+    and the peer meets TCP backpressure.  A peer hangup or socket error
+    sets ``closed`` — the router treats that as a dead worker.
     """
 
     #: largest frame (tag + payload) a peer may announce
     max_frame = _MAX_FRAME
+    #: most messages one :meth:`receive` decodes (None: every complete one)
+    max_messages: int | None = None
 
     def __init__(self, sock, faults: NetFaultFilter | None = None) -> None:
         sock.setblocking(False)
@@ -213,7 +215,8 @@ class FramedConn:
         return bool(self._out) or bool(self.faults and self.faults._held)
 
     def receive(self) -> list[object]:
-        """Every complete message currently readable (possibly none)."""
+        """The complete messages currently readable, up to
+        :attr:`max_messages` (possibly none); the rest stay buffered."""
         while not self.closed and len(self._in) <= self.max_frame + _HEADER.size:
             try:
                 chunk = self.sock.recv(1 << 16)
@@ -227,7 +230,7 @@ class FramedConn:
                 break
             self._in += chunk
         msgs: list[object] = []
-        while len(self._in) >= _HEADER.size:
+        while len(self._in) >= _HEADER.size and len(msgs) != self.max_messages:
             (length,) = _HEADER.unpack_from(self._in)
             if length > self.max_frame:
                 self._in.clear()

@@ -8,15 +8,19 @@ Two entry modes drive one :class:`~repro.serve.net.router.Router`:
   :func:`repro.serve.runtime.serve_clusters`.
 * **Listen** (:meth:`FrontDoor.serve`) — a TCP accept loop on
   loopback/LAN: external clients ``open`` a shard, push submit/finish/
-  node events in stream order, and ``close``; the front door admits
-  each event against the shard's bounded queue and answers ``busy``
-  with a retry-after once it is full — backpressure is explicit and
-  the router never buffers unacked work without bound.  The protocol is
-  strict request-reply over the same length-prefixed framing workers
-  use, JSON only in both directions: a client link never unpickles, and
-  a malformed request — including a frame over the 1 MiB client cap
-  and an event whose refs fall outside the shard's tables — gets
-  ``{"op": "error"}`` and disconnects only the client that sent it.
+  node events in stream order, and ``close``.  Every request but
+  ``bye`` gets one reply, sent when the request is done, and the reply
+  is the flow control: an event whose shard window is full waits,
+  unanswered, until a worker's ack makes room, and ``close`` is
+  answered with the shard's parity digest once its report arrives.  A
+  client link decodes one request at a time, so a client whose request
+  waits is read no further and TCP pushes back; the router never
+  buffers unacked work without bound.  The protocol is strict request-reply over the same
+  length-prefixed framing workers use, JSON only in both directions:
+  a client link never unpickles, and a malformed request — including a
+  frame over the 1 MiB client cap and an event whose refs fall outside
+  the shard's tables — gets ``{"op": "error"}`` and disconnects only
+  the client that sent it.
   An event the shard's own stream could never produce — out of batch
   order, earlier than the last admitted batch, or a finish before its
   job's submit — is refused with ``{"op": "error"}`` too, but the
@@ -25,10 +29,10 @@ Two entry modes drive one :class:`~repro.serve.net.router.Router`:
   reading, and buffering for it would grow without bound.  Nor is a
   client read more than one maximum-size frame ahead: TCP pushes back.
   The loop blocks only in the router's one wait, which also watches the
-  listening socket and the clients, so a request is served on arrival.
+  listening socket and every client with nothing waiting, so a request
+  is served on arrival.
 
-:class:`FrontDoorClient` is the matching blocking client (also the
-load generator the loopback benchmark drives).
+:class:`FrontDoorClient` is the matching blocking client.
 """
 
 from __future__ import annotations
@@ -37,19 +41,17 @@ import hashlib
 import math
 import socket
 import struct
-import time
 
 import numpy as np
 
 from ...experiments import common
 from ...framework.faults import FaultPlan
-from ...framework.supervise import SupervisionLog, backoff_delay
-from ...obs import collect as obs
+from ...framework.supervise import SupervisionLog
 from ..runtime import ShardTask, build_stream
 from ..server import ServeConfig
 from ..stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventBatch
 from .framing import FramedConn, pack, unpack_json
-from .router import POLL_S, NetConfig, NetStats, Router
+from .router import NetConfig, NetStats, Router
 
 __all__ = ["FrontDoor", "FrontDoorClient", "serve_clusters_net"]
 
@@ -63,10 +65,17 @@ _CLIENT_MAX_FRAME = 1 << 20
 
 
 class _ClientConn(FramedConn):
-    """A front-door client link: JSON frames only, never unpickled.
-    An undecodable frame decodes to ``None`` (not a request)."""
+    """A front-door client link: JSON frames only, never unpickled, one
+    request decoded at a time.  An undecodable frame decodes to
+    ``None`` (not a request)."""
 
     max_frame = _CLIENT_MAX_FRAME
+    max_messages = 1
+
+    def __init__(self, sock) -> None:
+        super().__init__(sock)
+        #: the request that waits for its answer (None: none waits)
+        self.waiting: dict | None = None
 
     def send(self, msg: object, fmt: str = "pickle") -> None:
         super().send(msg, fmt)
@@ -150,6 +159,10 @@ def _shard_tables(task: ShardTask) -> tuple[dict[int, int], np.ndarray]:
     return limits, stream.jobs["submit_time"].astype(float)
 
 
+def _parity_sha(report) -> str:
+    return hashlib.sha256(report.parity_bytes()).hexdigest()
+
+
 class FrontDoor:
     """Socket front door over a router + worker pool."""
 
@@ -181,7 +194,6 @@ class FrontDoor:
         if ready is not None:
             ready.set()
         clients: list[_ClientConn] = []
-        opened = False
         try:
             while True:
                 moved = False
@@ -193,19 +205,21 @@ class FrontDoor:
                     pass
                 for client in clients:
                     client.pump()
-                    for msg in client.receive():
+                    if self._serve_client(client):
                         moved = True
-                        if client.closed:
-                            break  # dropped mid-batch: ignore the rest
-                        if self._client_msg(client, msg):
-                            opened = True
+                for client in clients:
+                    if client.closed:
+                        client.close()  # a hangup leaves the socket open
                 clients = [c for c in clients if not c.closed]
                 if router.step():
                     moved = True
-                if opened and not clients and router.done():
+                if router.routes and not clients and router.done():
                     break
                 if not moved:
-                    router.wait([lsock, *(c.sock for c in clients)])
+                    # A waiting client is read no further, so only an
+                    # ack or a report (on a link) can move it along.
+                    router.wait([lsock, *(c.sock for c in clients
+                                          if c.waiting is None)])
         finally:
             lsock.close()
             router.shutdown()
@@ -215,47 +229,62 @@ class FrontDoor:
             if c in router.routes
         ], router.stats
 
+    def _serve_client(self, client: _ClientConn) -> bool:
+        """Answer the client's requests, the waiting one first, until
+        one must wait or none is buffered; returns whether any was
+        answered.  A client that hung up is answered no more."""
+        answered = False
+        while not client.closed:
+            msg = client.waiting
+            if msg is None:
+                msgs = client.receive()
+                if not msgs or client.closed:
+                    break
+                msg = msgs[0]
+            if not self._client_msg(client, msg):
+                client.waiting = msg
+                break
+            client.waiting = None
+            answered = True
+        return answered
+
     def _client_msg(self, client: _ClientConn, msg) -> bool:
-        """Handle one client request; returns True when it opened a shard."""
+        """Answer one client request; returns False, with nothing sent,
+        when it must wait: an event while its shard's window is full,
+        or a close until its shard's report arrives."""
         problem = _request_problem(msg)
         if problem is not None:
             client.drop(problem)
-            return False
+            return True
         router = self.router
         op = msg["op"]
         cluster = msg.get("cluster")
+        # Only the ops that name a shard have their cluster checked; any
+        # other op's may be any JSON value, an unhashable one included.
+        route = (router.routes.get(cluster)
+                 if isinstance(cluster, str) else None)
         if op == "open":
             task = router.tasks.get(cluster)
             if task is None:
-                client.send({"op": "error", "cluster": cluster,
-                             "error": "unknown cluster"}, fmt="json")
-                return False
-            if cluster not in router.routes:
-                self._tables[cluster] = _shard_tables(task)
-                router.open_route(task, batches=[], total=None)
-            client.send({"op": "opened", "cluster": cluster}, fmt="json")
-            return True
-        if op == "event":
-            route = router.routes.get(cluster)
-            if route is None:
-                client.send({"op": "error", "cluster": cluster,
-                             "error": "not opened"}, fmt="json")
-                return False
+                reply = {"op": "error", "cluster": cluster,
+                         "error": "unknown cluster"}
+            else:
+                if route is None:
+                    self._tables[cluster] = _shard_tables(task)
+                    router.open_route(task, batches=[], total=None)
+                reply = {"op": "opened", "cluster": cluster}
+        elif op in ("event", "close") and route is None:
+            reply = {"op": "error", "cluster": cluster, "error": "not opened"}
+        elif op == "event":
             limits, submit_time = self._tables[cluster]
             limit = limits.get(msg["kind"])
             if limit is None or any(r >= limit for r in msg["refs"]):
                 client.drop(f"refs out of range for kind {msg['kind']}")
-                return False
+                return True
             # Admission control: the per-shard queue is everything
-            # buffered but not yet acked by a worker.  Full → reject
-            # with a retry-after; the client owns the retry loop.
+            # buffered but not yet acked by a worker.  Full → the event
+            # waits, unanswered, until an ack makes room.
             if len(route.batches) - route.acked >= router.cfg.queue_bound:
-                router.stats.busy_rejections += 1
-                obs.counter_add("net.busy_rejections")
-                client.send({
-                    "op": "busy", "cluster": cluster, "bi": msg["bi"],
-                    "retry_after_s": 4 * POLL_S,
-                }, fmt="json")
                 return False
             bi = int(msg["bi"])
             when = float(msg["time"])
@@ -275,63 +304,50 @@ class FrontDoor:
                     problem = (f"finish at {when:g} is before its job's "
                                f"submit at {submitted:g}")
             if problem is not None:
-                client.send({"op": "error", "cluster": cluster,
-                             "error": problem}, fmt="json")
+                reply = {"op": "error", "cluster": cluster, "error": problem}
+            else:
+                route.batches.append(EventBatch(
+                    kind=int(msg["kind"]), time=when, refs=refs,
+                ))
+                reply = {"op": "accepted", "cluster": cluster, "bi": bi}
+        elif op == "close":
+            route.total = len(route.batches)
+            if route.report is None:
                 return False
-            route.batches.append(EventBatch(
-                kind=int(msg["kind"]), time=when, refs=refs,
-            ))
-            client.send({"op": "accepted", "cluster": cluster, "bi": bi},
-                        fmt="json")
-            return False
-        if op == "close":
-            route = router.routes.get(cluster)
-            if route is not None:
-                route.total = len(route.batches)
-                client.send({"op": "closed", "cluster": cluster,
-                             "total": route.total}, fmt="json")
-            return False
-        if op == "status":
-            route = router.routes.get(cluster)
+            reply = {"op": "closed", "cluster": cluster, "total": route.total,
+                     "parity_sha": _parity_sha(route.report)}
+        elif op == "status":
             reply = {"op": "status", "cluster": cluster,
                      "phase": route.phase if route else "unknown"}
             if route is not None and route.report is not None:
-                reply["parity_sha"] = hashlib.sha256(
-                    route.report.parity_bytes()
-                ).hexdigest()
-            client.send(reply, fmt="json")
-            return False
-        if op == "stats":
-            client.send({"op": "stats", **router.stats.as_dict()}, fmt="json")
-            return False
-        if op == "bye":
+                reply["parity_sha"] = _parity_sha(route.report)
+        elif op == "stats":
+            reply = {"op": "stats", **router.stats.as_dict()}
+        elif op == "bye":
             client.pump()
             client.close()
-            return False
-        client.send({"op": "error", "error": f"unknown op {op!r}"}, fmt="json")
-        return False
+            return True
+        else:
+            reply = {"op": "error", "error": f"unknown op {op!r}"}
+        client.send(reply, fmt="json")
+        return True
 
 
 class FrontDoorClient:
     """Blocking request-reply client for a listening front door.
 
-    Busy-retry shape: each rejected push waits the larger of the
-    server's ``retry_after_s`` hint and the shared
-    :func:`~repro.framework.supervise.backoff_delay` (capped exponential
-    with deterministic ``stable_seed`` jitter), never longer than
-    ``retry_cap_s``, and gives up with a clear error after
-    ``max_retries`` attempts instead of retrying forever.  Requests and
+    Each request gets one reply, sent when the request is done: an
+    event's once it is admitted (the front door holds it while its
+    shard's window is full), and ``close``'s once the shard has
+    reported, carrying its ``parity_sha``.  ``timeout_s`` bounds the
+    wait for each reply, so a shard that stops draining raises
+    :class:`TimeoutError` instead of hanging the client.  Requests and
     replies are JSON only.
     """
 
-    def __init__(self, host: str, port: int, timeout_s: float = 60.0,
-                 max_retries: int = 100, retry_base_s: float = 0.01,
-                 retry_cap_s: float = 0.5) -> None:
+    def __init__(self, host: str, port: int, timeout_s: float = 60.0) -> None:
         self.sock = socket.create_connection((host, port), timeout=timeout_s)
         self._buf = bytearray()
-        self.max_retries = max_retries
-        self.retry_base_s = retry_base_s
-        self.retry_cap_s = retry_cap_s
 
     def request(self, msg: dict) -> dict:
         self.sock.sendall(pack(msg, fmt="json"))
@@ -351,47 +367,12 @@ class FrontDoorClient:
             self._buf += chunk
 
     def send_event(self, cluster: str, bi: int, batch: EventBatch) -> dict:
-        """Push one event batch, honoring busy/retry-after backpressure.
-
-        Raises :class:`TimeoutError` once the retry budget is spent —
-        a full queue that never drains is a stalled shard, and sleeping
-        on it forever would just hide that.
-        """
-        msg = {
+        """Push one event batch; the reply comes once it is admitted."""
+        return self.request({
             "op": "event", "cluster": cluster, "bi": bi,
             "kind": int(batch.kind), "time": float(batch.time),
             "refs": [int(r) for r in batch.refs],
-        }
-        last_hint = 0.0
-        for attempt in range(self.max_retries + 1):
-            reply = self.request(msg)
-            if reply.get("op") != "busy":
-                return reply
-            last_hint = float(reply.get("retry_after_s", 0.0))
-            if attempt == self.max_retries:
-                break
-            delay = max(
-                last_hint,
-                backoff_delay(f"frontdoor:{cluster}:{bi}", attempt + 1,
-                              self.retry_base_s, self.retry_cap_s),
-            )
-            time.sleep(min(delay, self.retry_cap_s))
-        raise TimeoutError(
-            f"front door stayed busy for {cluster} bi={bi} after "
-            f"{self.max_retries} retries (last retry_after_s={last_hint:g})"
-        )
-
-    def wait_done(self, cluster: str, timeout_s: float = 600.0,
-                  poll_s: float = 0.05) -> dict:
-        """Poll until the shard's route reports done; returns the final
-        status reply (carrying ``parity_sha``)."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            reply = self.request({"op": "status", "cluster": cluster})
-            if reply.get("phase") == "done":
-                return reply
-            time.sleep(poll_s)
-        raise TimeoutError(f"shard {cluster} not done after {timeout_s:g}s")
+        })
 
     def close(self) -> None:
         try:

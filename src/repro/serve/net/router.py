@@ -125,7 +125,6 @@ class NetStats:
     respawns: int = 0
     link_failures: int = 0
     passthroughs: int = 0
-    busy_rejections: int = 0
     dropped_frames: int = 0
     max_queue_depth: int = 0
 

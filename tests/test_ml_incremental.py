@@ -177,30 +177,12 @@ class TestLSTMIncremental:
         with pytest.raises(RuntimeError):
             LSTMForecaster().update(np.arange(10.0))
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            LSTMForecaster(mode="turbo")
-
-    def test_fast_update_within_band_of_reference(self):
-        """Fold-batched fast updates vs the scratch per-window reference
-        schedule: the two fine-tunes are different algorithms, so scores
-        agree within the rolling-origin tolerance band only."""
-        y = _series()
-        p = LSTMParams(window=24, hidden=8, epochs=5, update_epochs=2)
-        fast = evaluate_forecaster(
-            lambda: LSTMForecaster(p, mode="fast"), y, mode="auto", **EVAL
-        )
-        ref = evaluate_forecaster(
-            lambda: LSTMForecaster(p, mode="reference"), y, mode="auto", **EVAL
-        )
-        assert abs(fast - ref) / ref < 0.30
-
     def test_fast_update_consumes_no_rng(self):
         """The fold-batched path is full-batch: the shuffling RNG state
-        must be untouched so later reference epochs are unperturbed."""
+        must be untouched."""
         y = _series(n=300)
         p = LSTMParams(window=12, hidden=8, epochs=2, update_epochs=2)
-        model = LSTMForecaster(p, mode="fast").fit(y[:250])
+        model = LSTMForecaster(p).fit(y[:250])
         before = model._rng.bit_generator.state
         model.update(y[250:])
         assert model._rng.bit_generator.state == before
@@ -210,7 +192,7 @@ class TestLSTMIncremental:
         targeting appended points."""
         y = _series(n=300)
         p = LSTMParams(window=12, hidden=8, epochs=2, update_epochs=3)
-        model = LSTMForecaster(p, mode="fast").fit(y[:250])
+        model = LSTMForecaster(p).fit(y[:250])
         n_loss = len(model.loss_curve_)
         model.update(y[250:])
         assert len(model.loss_curve_) == n_loss + p.update_epochs
@@ -220,8 +202,8 @@ class TestLSTMIncremental:
         the new level (the batched gradient actually applies)."""
         y = _series(n=400)
         p = LSTMParams(window=24, hidden=8, epochs=5, update_epochs=10)
-        stale = LSTMForecaster(p, mode="fast").fit(y[:340])
-        tuned = LSTMForecaster(p, mode="fast").fit(y[:340])
+        stale = LSTMForecaster(p).fit(y[:340])
+        tuned = LSTMForecaster(p).fit(y[:340])
         tuned.update(y[340:] + 4.0)
         # compare against the same model continuing without the shift
         stale.update(y[340:])
@@ -364,12 +346,6 @@ class TestEngineModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
             evaluate_forecaster(_NoUpdateModel, _series(200), 100, 10, mode="warp")
-
-    def test_incremental_mode_requires_update(self):
-        with pytest.raises(TypeError, match="does not implement update"):
-            evaluate_forecaster(
-                _NoUpdateModel, _series(200), 100, 10, mode="incremental"
-            )
 
     def test_auto_falls_back_to_scratch(self):
         y = _series(200)

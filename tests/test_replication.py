@@ -1,18 +1,12 @@
-"""Replica groups and the front-door client: the unit half (no fork
-needed).
+"""Replica groups: the unit half (no fork needed).
 
-Covers the deterministic replica stream partition and the front-door
-client's capped deterministic busy-retry loop.  The forked end-to-end
-replica parity and chaos tests live in test_net_chaos.py.
+Covers the deterministic replica stream partition.  The forked
+end-to-end replica parity and chaos tests live in test_net_chaos.py.
 """
 
-import time
-
 import numpy as np
-import pytest
 
-from repro.framework.supervise import backoff_delay
-from repro.serve.net import FrontDoorClient, replica_slice
+from repro.serve.net import replica_slice
 from repro.serve.stream import FINISH, NODE_SAMPLE, SUBMIT, EventBatch
 
 
@@ -55,48 +49,3 @@ class TestReplicaSlice:
         for s in slices:
             assert [b.time for b in s] == sorted(b.time for b in s)
 
-
-class TestFrontDoorClientRetry:
-    def _client(self, max_retries, monkeypatch, replies):
-        """A socketless client whose request() pops canned replies and
-        whose sleeps are recorded instead of taken."""
-        client = FrontDoorClient.__new__(FrontDoorClient)
-        client.max_retries = max_retries
-        client.retry_base_s = 0.01
-        client.retry_cap_s = 0.05
-        sleeps = []
-        monkeypatch.setattr(client, "request", lambda msg: replies.pop(0))
-        monkeypatch.setattr(time, "sleep", sleeps.append)
-        return client, sleeps
-
-    def _batch(self):
-        return EventBatch(kind=SUBMIT, time=0.0,
-                          refs=np.array([0], dtype=np.int64))
-
-    def test_busy_then_accepted_backs_off_deterministically(self, monkeypatch):
-        replies = [
-            {"op": "busy", "retry_after_s": 0.02},
-            {"op": "busy", "retry_after_s": 0.02},
-            {"op": "accepted", "bi": 0},
-        ]
-        client, sleeps = self._client(5, monkeypatch, replies)
-        reply = client.send_event("Venus", 0, self._batch())
-        assert reply["op"] == "accepted"
-        assert len(sleeps) == 2
-        cap = client.retry_cap_s
-        # Each wait honors the server hint, rides the shared
-        # deterministic backoff, and never exceeds the cap.
-        for attempt, slept in enumerate(sleeps, start=1):
-            expected = max(0.02, backoff_delay(
-                f"frontdoor:Venus:{0}", attempt, client.retry_base_s, cap))
-            assert slept == min(expected, cap)
-            assert slept <= cap
-
-    def test_gives_up_with_clear_error_after_budget(self, monkeypatch):
-        busy = {"op": "busy", "retry_after_s": 0.3}
-        client, sleeps = self._client(3, monkeypatch, [dict(busy)] * 4)
-        with pytest.raises(TimeoutError, match="after 3 retries"):
-            client.send_event("Venus", 7, self._batch())
-        assert len(sleeps) == 3  # no sleep after the final attempt
-        # The 0.3s hint is clamped to the cap: give-up is prompt.
-        assert all(s == client.retry_cap_s for s in sleeps)
