@@ -49,9 +49,9 @@ SERVE_CHAOS_CLUSTERS = ("Venus",)
 SERVE_CHAOS_KILL_BATCH = 130
 SERVE_CHAOS_CHECKPOINT_EVERY = 50
 
-#: front-door chaos exhibit: two shards that consistent-hash onto
-#: *different* workers of a 2-worker ring (Venus → w1, Earth → w0), so
-#: a worker SIGKILL and a link partition each hit one shard
+#: front-door chaos exhibit: two shards that start on *different*
+#: workers of a 2-worker pool (Venus → w1, Earth → w0), so a worker
+#: SIGKILL and a link partition each hit one shard
 SERVE_NET_CLUSTERS = ("Venus", "Earth")
 SERVE_NET_WORKERS = 2
 SERVE_NET_QUEUE_BOUND = 16
@@ -213,8 +213,8 @@ def exp_serve_frontdoor() -> dict:
     """Partition-and-kill chaos parity through the socket control plane.
 
     The baseline serves two shards directly.  The chaos run routes the
-    same shards through :mod:`repro.serve.net` — consistent hashing
-    places them on different workers — under a plan that SIGKILLs
+    same shards through :mod:`repro.serve.net` — their rendezvous
+    orders place them on different workers — under a plan that SIGKILLs
     Venus's worker at micro-batch 130 *and* partitions Earth's link
     indefinitely from frame 60.  The router's breaker ladder respawns
     and reroutes both shards from their piggybacked checkpoints, and the

@@ -17,7 +17,7 @@ Each cluster becomes one shard: a :class:`PredictionServer` fitted on
 the cluster's history serving that cluster's replayed event stream,
 with per-shard throughput and decision-latency telemetry.  ``--net``
 routes the shards through the :mod:`repro.serve.net` control plane
-(consistent-hash placement, bounded queues, retries/reroutes, crash
+(rendezvous-hash placement, bounded queues, retries/reroutes, crash
 recovery from checkpoints); ``--checkpoint-every`` and
 ``--fault-plan`` select it too.  ``--listen`` exposes the same plane as
 a TCP front door and ``--connect`` drives a remote one as a
@@ -109,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--net", action="store_true",
-        help="serve through the socket control plane (consistent-hash "
-             "routed shard workers, bounded queues, retries/reroutes)",
+        help="serve through the socket control plane (rendezvous-hash "
+             "placed shard workers, bounded queues, retries/reroutes)",
     )
     parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
@@ -377,7 +377,14 @@ def _run_listen(args, clusters, config, netcfg, fault_plan) -> int:
     door = FrontDoor(_shard_tasks(args, clusters, config), net=netcfg,
                      fault_plan=fault_plan)
     banner = _ReadyBanner(door, args.workers, args.queue_bound)
-    reports, _ = door.serve(host=host, port=port, ready=banner)
+    try:
+        reports, _ = door.serve(host=host, port=port, ready=banner)
+    except OSError as exc:
+        if door.port is not None:
+            raise  # bound and serving: not a listen failure
+        print(f"error: cannot listen on {host}:{port}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     print(f"served {len(reports)} shard(s)")
     return 0
 
@@ -399,7 +406,14 @@ def _run_connect(args, clusters, config) -> int:
                 build_stream(task).batches(task.config.batch_window_s)
             )
             for bi, batch in enumerate(batches):
-                client.send_event(task.cluster, bi, batch)
+                try:
+                    reply = client.send_event(task.cluster, bi, batch)
+                except OSError as exc:  # the front door hung up
+                    reply = {"error": f"{type(exc).__name__}: {exc}"}
+                if reply.get("op") != "accepted":
+                    print(f"error: {task.cluster} batch {bi} not accepted: "
+                          f"{reply.get('error', reply)}", file=sys.stderr)
+                    return 1
             reply = client.request({"op": "close", "cluster": task.cluster})
             print(f"[{task.cluster:7s}] {len(batches)} batches served; "
                   f"parity {reply.get('parity_sha', '')[:16]}")

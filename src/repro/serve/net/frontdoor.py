@@ -23,10 +23,11 @@ Two entry modes drive one :class:`~repro.serve.net.router.Router`:
   the client that sent it.
   An event the shard's own stream could never produce — out of batch
   order, earlier than the last admitted batch, or a finish before its
-  job's submit — is refused with ``{"op": "error"}`` too, but the
-  client stays connected.  A client that lets more than 1 MiB of
-  replies pile up unread is disconnected without a reply: it is not
-  reading, and buffering for it would grow without bound.  Nor is a
+  job's submit — is refused with ``{"op": "error"}`` too, as is an
+  event for a shard already closed, but the client stays connected.
+  A client that lets more than 1 MiB of replies pile up unread is
+  disconnected without a reply: it is not reading, and buffering for
+  it would grow without bound.  Nor is a
   client read more than one maximum-size frame ahead: TCP pushes back.
   The loop blocks only in the router's one wait, which also watches the
   listening socket and every client with nothing waiting, so a request
@@ -178,23 +179,25 @@ class FrontDoor:
         """Accept clients until every opened shard is served and all
         clients have disconnected.  ``ready`` (a ``threading.Event``) is
         set once the socket is bound — ``self.port`` then holds the
-        ephemeral port."""
+        ephemeral port.  The socket is bound before the worker pool is
+        forked, so an address that cannot be bound raises ``OSError``
+        with ``self.port`` still None and no worker started."""
         router = self.router
         if any(t.replica_count > 1 for t in router.tasks.values()):
             # Clients address shards by cluster name; fanning one event
             # stream across a replica group is a drive-mode feature.
             raise ValueError("listen mode does not support replica groups")
-        router.start()
         lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        lsock.bind((host, port))
-        lsock.listen(16)
-        lsock.setblocking(False)
-        self.port = lsock.getsockname()[1]
-        if ready is not None:
-            ready.set()
         clients: list[_ClientConn] = []
         try:
+            lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            lsock.bind((host, port))
+            lsock.listen(16)
+            lsock.setblocking(False)
+            self.port = lsock.getsockname()[1]
+            router.start()
+            if ready is not None:
+                ready.set()
             while True:
                 moved = False
                 try:
@@ -275,6 +278,8 @@ class FrontDoor:
                 reply = {"op": "opened", "cluster": cluster}
         elif op in ("event", "close") and route is None:
             reply = {"op": "error", "cluster": cluster, "error": "not opened"}
+        elif op == "event" and route.total is not None:
+            reply = {"op": "error", "cluster": cluster, "error": "closed"}
         elif op == "event":
             limits, submit_time = self._tables[cluster]
             limit = limits.get(msg["kind"])
@@ -401,7 +406,7 @@ def serve_clusters_net(
     The fault-tolerant sibling of
     :func:`~repro.serve.runtime.serve_clusters`: same tasks, same
     reports (the parity surface is byte-identical to a direct run), but
-    batches travel over sockets to consistent-hash-routed workers with
+    batches travel over sockets to forked workers with
     bounded queues, retries, reroutes, checkpoint resume every
     ``checkpoint_every`` batches, and chaos injection.  ``net`` sets the
     pool size, queue bound and retry shape (default :class:`NetConfig`);

@@ -3,12 +3,13 @@
 This is the one fault-tolerant execution plane for serving shards.
 The router owns a pool of forked socket workers (one
 :class:`WorkerLink` each, talking framed messages over a socketpair)
-and a :class:`RouteState` per shard.  Shards are placed on workers by
-consistent hashing (:mod:`.hashring`), batches stream to the owning
-worker behind a bounded in-flight window (``queue_bound`` — the
-explicit backpressure: the router never buffers unacked work beyond
-it), and every route walks a circuit-breaker ladder when its worker
-stops making progress:
+and a :class:`RouteState` per shard.  Each shard ranks the workers in
+one fixed order (:func:`shard_order`: rendezvous hashing on its
+cluster, rotated by its replica index) and starts on the first;
+batches stream to that worker behind a bounded in-flight window
+(``queue_bound`` — the explicit backpressure: the router never buffers
+unacked work beyond it), and every route walks a circuit-breaker
+ladder when its worker stops making progress:
 
 1. **healthy** — stream batches, collect acks (checkpoints piggyback).
 2. **retrying** — the per-RPC deadline expired: rewind to the acked
@@ -21,10 +22,12 @@ stops making progress:
    deadline): the link is taken down, its process killed and
    reaped (and respawned with a fresh epoch when budget remains), and
    each of its routes is re-resumed *from its latest checkpoint* on the
-   next alive worker in its hash-ring preference order.
-4. **FIFO passthrough** — no worker can host the shard (fork
+   first live worker in its order, other than the one it left, that
+   hosts no live replica of the same cluster — else on the first other
+   live worker, else on the respawned one.
+4. **in-process passthrough** — no worker can host the shard (fork
    unavailable, or reroute budget exhausted): the router serves the
-   route in-process through the same
+   route itself, with the shard's full models, through the same
    :class:`~repro.serve.server.ServingSession` loop a worker runs,
    resuming from the route's latest checkpoint — decisions never stop
    flowing, mirroring the in-shard degradation ladder.  Each step
@@ -42,12 +45,17 @@ fork there is no worker process, so a plan's process faults (crash,
 hang, ...) do not fire in the passthrough.
 
 The drive loop and the listen-mode front door block only in
-:meth:`Router.wait`.  A worker reads EOF, and exits, when the router dies.
+:meth:`Router.wait`.  A worker blocks on its link and exits on EOF:
+when :meth:`Router.shutdown` closes the link, or when the router dies.
 
 A replica group (``--replicas K``) is K routes over one cluster's
 stream, each opened with its slice of it
 (:func:`~repro.serve.net.replicate.replica_slice`).  The router treats
 them as independent shards, and each replica refits its own models.
+Replica ``i`` starts on worker ``i`` of the cluster's order, so a
+group's K replicas start on K different workers; with more replicas
+than workers the order wraps round and replica ``i`` shares the worker
+of replica ``i - workers``.
 
 Network faults (``drop``/``delay``/``duplicate``/``partition``) inject
 at each link's framing layer, keyed by ``("link:<worker>", epoch,
@@ -58,6 +66,7 @@ retry/reroute/breaker counters flow through :mod:`repro.obs`.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import selectors
 import socket
@@ -71,17 +80,34 @@ from ...obs import collect as obs
 from ..runtime import ShardTask, build_shard, build_stream
 from ..server import ServingSession
 from .framing import FramedConn, NetFaultFilter
-from .hashring import HashRing
 from .replicate import replica_slice
 from .worker import worker_main
 
-__all__ = ["NetConfig", "NetStats", "Router", "RouteState", "WorkerLink"]
+__all__ = ["NetConfig", "NetStats", "Router", "RouteState", "WorkerLink",
+           "shard_order"]
 
 #: the longest :meth:`Router.wait` blocks when no socket turns readable
 POLL_S = 0.005
 #: deadline for a resume or a finish reply (the worker fits models, or
 #: closes its session, before replying)
 RESUME_DEADLINE_S = 600.0
+#: the route phases in which a worker hosts the route's session
+_ON_WORKER = ("resuming", "streaming", "finishing")
+
+
+def shard_order(task: ShardTask, workers) -> list[str]:
+    """``workers`` in the order ``task``'s shard prefers them: ranked
+    by the md5 of ``"<cluster>:<worker>"``, highest first (rendezvous
+    hashing; md5, not the salted ``hash()``, so every process and run
+    agrees, whatever order ``workers`` come in), then rotated by the
+    shard's replica index."""
+    ranked = sorted(
+        workers,
+        key=lambda w: hashlib.md5(f"{task.cluster}:{w}".encode()).digest(),
+        reverse=True,
+    )
+    k = task.replica_index % len(ranked)
+    return ranked[k:] + ranked[:k]
 
 
 @dataclass(frozen=True)
@@ -181,12 +207,12 @@ class RouteState:
         self.session: ServingSession | None = None
 
 
-def _worker_entry(sock, router_end, name: str, plan) -> None:
+def _worker_entry(sock, router_end, plan) -> None:
     # The fork copied the router's end of this link; closing it lets the
     # worker read EOF, and exit, when the router dies.  worker_main is
     # looked up here, at call time, so a rebinding of it takes effect.
     router_end.close()
-    worker_main(sock, name, plan)
+    worker_main(sock, plan)
 
 
 class Router:
@@ -204,7 +230,6 @@ class Router:
         self.stats = NetStats()
         self.routes: dict[str, RouteState] = {}
         self.links: dict[str, WorkerLink] = {}
-        self.ring: HashRing | None = None
         self.log = SupervisionLog()
         self._mp = multiprocessing.get_context("fork") if fork_available() else None
         enabled = obs.is_enabled()
@@ -219,12 +244,11 @@ class Router:
         for i in range(self.cfg.workers):
             name = f"w{i}"
             self.links[name] = self._spawn(name, epoch=0, spawns=0)
-        self.ring = HashRing(list(self.links))
 
     def _spawn(self, name: str, epoch: int, spawns: int) -> WorkerLink:
         parent_sock, child_sock = socket.socketpair()
         proc = self._mp.Process(
-            target=_worker_entry, args=(child_sock, parent_sock, name, self.plan),
+            target=_worker_entry, args=(child_sock, parent_sock, self.plan),
             daemon=True,
         )
         proc.start()
@@ -235,23 +259,22 @@ class Router:
         return WorkerLink(name, epoch, proc, conn, spawns=spawns)
 
     def shutdown(self) -> None:
-        deadline = time.monotonic() + 2.0
-        for link in self.links.values():
-            if link.alive:
-                link.conn.send({"op": "shutdown"})
-        for link in self.links.values():
-            if not link.alive:
-                continue  # reaped (and counted) in _link_down already
-            while link.conn.want_write and time.monotonic() < deadline:
-                link.conn.pump()
-                time.sleep(0.001)
+        """Close every live link, then join its worker, which reads EOF
+        and exits.  Every link closes before any join: a worker forked
+        later holds a copy of an earlier worker's router end (the fork
+        copied it), so the earlier one reads EOF only once the later
+        one has exited.  A worker still alive when its join times out
+        is killed."""
+        live = [link for link in self.links.values() if link.alive]
+        for link in live:  # the dead were reaped, and counted, in _link_down
             self.stats.dropped_frames += link.conn.faults.dropped
+            link.conn.close()
+            link.alive = False
+        for link in live:
             link.proc.join(timeout=2.0)
             if link.proc.is_alive():
                 link.proc.kill()
                 link.proc.join()
-            link.conn.close()
-            link.alive = False
 
     # -- route lifecycle -----------------------------------------------
 
@@ -262,7 +285,7 @@ class Router:
         if not self.links:
             self._go_local(route)
             return route
-        route.worker = self.ring.owner(task.shard_id)
+        route.worker = shard_order(task, self.links)[0]
         self._send_resume(route, time.monotonic())
         return route
 
@@ -309,7 +332,7 @@ class Router:
         now = time.monotonic()
         for route in self.routes.values():
             if (
-                route.phase in ("resuming", "streaming", "finishing")
+                route.phase in _ON_WORKER
                 and route.deadline is not None
                 and now > route.deadline
             ):
@@ -499,7 +522,7 @@ class Router:
             if link is not None and link.alive:
                 self._link_down(link, now, reason="unresponsive")
             else:
-                self._reroute(route, now, avoid=route.worker, outcome="timeout")
+                self._reroute(route, now, outcome="timeout")
             return
         # Rung 2: rewind to the acked cursor and resend after backoff.
         delay = backoff_delay(
@@ -537,15 +560,12 @@ class Router:
             obs.counter_add("net.respawns")
         outcome = "crash" if reason == "hangup" else "timeout"
         for route in self.routes.values():
-            if route.worker == link.name and route.phase in (
-                "resuming", "streaming", "finishing"
-            ):
-                self._reroute(route, now, avoid=link.name, outcome=outcome)
+            if route.worker == link.name and route.phase in _ON_WORKER:
+                self._reroute(route, now, outcome=outcome)
 
-    def _reroute(self, route: RouteState, now: float, avoid: str | None,
-                 outcome: str) -> None:
+    def _reroute(self, route: RouteState, now: float, outcome: str) -> None:
         """End the route's current attempt as ``outcome`` and start the
-        next one on a sibling (or in-process)."""
+        next one on another worker (or in-process)."""
         self.log.record(route.cluster, route.attempt, outcome)
         route.attempt += 1
         route.retries = 0
@@ -554,22 +574,26 @@ class Router:
         if route.attempt > self.cfg.max_retries + len(self.links):
             self._go_local(route)
             return
-        alive = [
-            w for w in self.ring.preference(route.cluster)
-            if self.links[w].alive
-        ]
+        alive = [w for w in shard_order(route.task, self.links)
+                 if self.links[w].alive]
         if not alive:
             self._go_local(route)
             return
-        # Degrade to a sibling when one exists; a respawned self is the
-        # fallback home.
-        route.worker = next((w for w in alive if w != avoid), alive[0])
+        # Move off the worker the route left, to one hosting no live
+        # replica of its cluster when there is one (a group keeps its
+        # fault isolation); a respawned self is the fallback home.
+        others = [w for w in alive if w != route.worker] or alive
+        group = {r.worker for r in self.routes.values()
+                 if r.task.cluster == route.task.cluster
+                 and r.phase in _ON_WORKER}
+        route.worker = next((w for w in others if w not in group), others[0])
         route.next_send = route.acked
         route.backoff_until = 0.0
         self._send_resume(route, now)
 
     def _go_local(self, route: RouteState) -> None:
-        # Rung 4: FIFO passthrough — the router serves the shard itself.
+        # Rung 4: in-process passthrough — the router serves the shard
+        # itself, with its full models.
         route.phase = "local"
         route.worker = None
         self.stats.passthroughs += 1

@@ -4,7 +4,7 @@ router.
 One worker may host several shard sessions (shard id → fitted
 :class:`~repro.serve.server.PredictionServer` +
 :class:`~repro.serve.server.ServingSession`).  The router drives it
-with a tiny RPC vocabulary over one framed socket:
+with three RPCs over one framed socket:
 
 * ``resume``   — build the shard (models fit here, not in the router)
   and open a session, resuming from a piggybacked checkpoint when the
@@ -12,17 +12,20 @@ with a tiny RPC vocabulary over one framed socket:
 * ``batch``    — serve a group of consecutive micro-batches (the
   router coalesces its send window into group frames; ``items`` holds
   the group, ``bi`` the first index).  Acks are *cumulative* and
-  coalesced: one ``ack`` per drain round covers every batch served in
-  it, carrying the session cursor and any checkpoint the session
-  emitted.  A duplicate (``bi`` below the cursor) folds into the ack
-  without side effects; a future index (frames lost in between) is
-  answered with ``gap`` naming the expected cursor so the router
-  rewinds.
+  coalesced: one ``ack`` per drain round covers every batch up to its
+  ``bi``, carrying any checkpoint the session emitted.  A duplicate
+  (``bi`` below the cursor) folds into the ack without side effects; a
+  future index (frames lost in between) is answered with ``gap``
+  naming the expected cursor so the router rewinds.
 * ``finish``   — close the session; replies ``report`` with the shard
   report (this process's obs state piggybacked on it, so a worker that
   dies first ships nothing and nothing is double-counted).
-* ``shutdown`` — clean exit.  EOF (the router closed the link or died)
-  ends the worker too.
+
+The worker blocks in one wait on its link, with no timeout: until the
+router sends, or, while a reply is queued, until the link can take
+more of it, so a multi-MB checkpoint ack drains as fast as the router
+reads it.  EOF is its one stop signal: the router closed the link (at
+shutdown, or to take the worker down) or died.
 
 A shard never moves off a live worker: the router kills a link's
 process before rerouting its shards, so no session is left to drop.
@@ -80,54 +83,49 @@ class ShardHost:
         return ckpt
 
 
-def worker_main(sock, name: str, plan: FaultPlan | None = None) -> None:
-    """Serve RPCs on ``sock`` until shutdown or router hangup."""
+def worker_main(sock, plan: FaultPlan | None = None) -> None:
+    """Serve RPCs on ``sock`` until the router hangs up."""
     # Import here keeps FramedConn construction after the fork.
     from .framing import FramedConn
 
     conn = FramedConn(sock)
-    sel = selectors.DefaultSelector()
-    sel.register(sock, selectors.EVENT_READ)
     hosts: dict[str, ShardHost] = {}
-    running = True
-    while running and not conn.closed:
-        sel.select(timeout=0.05)
-        conn.pump()
-        acks: dict[str, int] = {}
-        for msg in conn.receive():
-            op = msg.get("op")
-            if op == "batch":
-                _handle_batch(conn, hosts, msg, acks)
-            elif op == "resume":
-                _handle_resume(conn, hosts, msg, plan)
-            elif op == "finish":
-                host = hosts.pop(msg["cluster"], None)
-                if host is not None:
-                    report = host.session.finish()
-                    conn.send({
-                        "op": "report",
-                        "cluster": msg["cluster"],
-                        "worker": name,
-                        "report": obs.carry_result(report),
-                    })
-            elif op == "shutdown":
-                running = False
-        # Acks coalesce per drain round: one cumulative ack per shard
-        # covers every batch served this round (the cursor is what the
-        # router trusts anyway), halving the return-path frame count.
-        for cluster, bi in acks.items():
-            host = hosts.get(cluster)
-            if host is None:
-                continue  # finished in this same round
-            conn.send({
-                "op": "ack",
-                "cluster": cluster,
-                "bi": bi,
-                "cursor": host.session.cursor,
-                "ckpt": host.take_ckpt(),
-            })
-        if conn.want_write:
+    with selectors.DefaultSelector() as sel:
+        sel.register(sock, selectors.EVENT_READ)
+        while not conn.closed:
+            writable = selectors.EVENT_WRITE if conn.want_write else 0
+            sel.modify(sock, selectors.EVENT_READ | writable)
+            sel.select()
             conn.pump()
+            acks: dict[str, int] = {}
+            for msg in conn.receive():
+                op = msg.get("op")
+                if op == "batch":
+                    _handle_batch(conn, hosts, msg, acks)
+                elif op == "resume":
+                    _handle_resume(conn, hosts, msg, plan)
+                elif op == "finish":
+                    host = hosts.pop(msg["cluster"], None)
+                    if host is not None:
+                        report = host.session.finish()
+                        conn.send({
+                            "op": "report",
+                            "cluster": msg["cluster"],
+                            "report": obs.carry_result(report),
+                        })
+            # Acks coalesce per drain round: one cumulative ack per
+            # shard covers every batch served this round, halving the
+            # return-path frame count.
+            for cluster, bi in acks.items():
+                host = hosts.get(cluster)
+                if host is None:
+                    continue  # finished in this same round
+                conn.send({
+                    "op": "ack",
+                    "cluster": cluster,
+                    "bi": bi,
+                    "ckpt": host.take_ckpt(),
+                })
     conn.close()
 
 
@@ -156,8 +154,7 @@ def _handle_batch(conn, hosts, msg, acks: dict) -> None:
     items = msg["items"]
     host = hosts.get(cluster)
     if host is None:
-        conn.send({"op": "gap", "cluster": cluster, "expected": 0,
-                   "reason": "no session"})
+        conn.send({"op": "gap", "cluster": cluster, "expected": 0})
         return
     cursor = host.session.cursor
     if bi0 > cursor:

@@ -3,10 +3,11 @@
 The headline guarantee extends the in-shard one: kill *or partition*
 any shard worker mid-stream and the merged report parity surface stays
 byte-identical to a fault-free run.  Alongside it: the framing layer's
-deterministic network faults, consistent-hash placement, the bounded
+deterministic network faults, rendezvous placement, the bounded
 in-flight queue (asserted via the obs queue-depth histogram), the
-listen-mode front door, which holds a client's request until it is
-done, and the FIFO-passthrough rung when no worker pool exists.
+worker's wait on its link and its EOF-only exit, the listen-mode front
+door, which holds a client's request until it is done, and the
+in-process passthrough rung when no worker pool exists.
 """
 
 import gc
@@ -29,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.framework import FaultPlan, FaultSpec, fork_available
+from repro.framework import FaultPlan, FaultSpec, WorkerContext, fork_available
 from repro.obs import collect as obs
 from repro.serve import (
     NetConfig,
@@ -39,16 +40,17 @@ from repro.serve import (
     parity_surface,
     serve_clusters_net,
 )
+from repro.serve.net import worker as worker_mod
 from repro.serve.net import (
     FrontDoor,
     FrontDoorClient,
-    HashRing,
     NetFaultFilter,
     pack,
     unpack,
 )
 from repro.serve.net.framing import TAG_JSON, unpack_json
 from repro.serve.net.frontdoor import _CLIENT_MAX_FRAME, _ClientConn
+from repro.serve.net.router import Router, shard_order
 from repro.serve.server import ServingSession, encode_decisions
 from repro.serve.stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventBatch
 
@@ -243,55 +245,68 @@ class TestNetFaultFilter:
         assert sent == [[b"f0"], [b"f1", b"f1"], [b"f2", b"f2"], [b"f3"]]
 
 
-class TestHashRing:
-    def test_deterministic_and_owner_heads_preference(self):
-        a = HashRing(["w0", "w1", "w2"])
-        b = HashRing(["w2", "w0", "w1"])  # order-insensitive
-        for key in ("Venus", "Saturn", "Earth", "Uranus", "Philly"):
-            assert a.owner(key) == b.owner(key)
-            pref = a.preference(key)
-            assert pref[0] == a.owner(key)
-            assert sorted(pref) == ["w0", "w1", "w2"]
+def _order(cluster, workers, replica_index=0, replica_count=1):
+    return shard_order(ShardTask(cluster=cluster, replica_index=replica_index,
+                                 replica_count=replica_count), workers)
 
-    def test_two_worker_ring_spreads_helios_clusters(self):
-        ring = HashRing(["w0", "w1"])
-        owners = {c: ring.owner(c) for c in ("Venus", "Saturn", "Earth",
-                                             "Uranus")}
-        assert set(owners.values()) == {"w0", "w1"}
 
-    def test_ring_rejects_empty(self):
-        with pytest.raises(ValueError):
-            HashRing([])
+class TestShardOrder:
+    HELIOS = ("Venus", "Earth", "Saturn", "Uranus")
 
-    def test_preference_stable_across_restarts(self):
-        # Placement is a pure hash of (worker name, vnode): a rebuilt
-        # ring — new process, new run — gives every key the identical
-        # full preference order, so reroute targets are reproducible.
+    def test_deterministic_and_independent_of_worker_list_order(self):
+        # A pure function of md5 over (cluster, worker name): a rebuilt
+        # pool — new process, new run, workers listed in any order —
+        # gives every shard the identical full order, so placements and
+        # reroute targets are reproducible.
         workers = ["w0", "w1", "w2", "w3"]
-        a = HashRing(workers)
-        b = HashRing(list(reversed(workers)))
-        keys = [f"shard-{i}" for i in range(50)] + ["Venus@0", "Venus@1"]
+        keys = [f"shard-{i}" for i in range(50)] + list(self.HELIOS)
         for key in keys:
-            assert a.preference(key) == b.preference(key)
+            order = _order(key, workers)
+            assert sorted(order) == workers
+            assert _order(key, list(reversed(workers))) == order
+            assert _order(key, ["w2", "w0", "w3", "w1"]) == order
 
-    def test_vnode_distribution_is_bounded(self):
-        # 64 vnodes per worker keep ownership roughly balanced: across
-        # many keys no worker owns a wildly outsized share.
+    def test_two_worker_placement_of_helios_clusters(self):
+        # The chaos fixtures and the serve_frontdoor exhibit rely on
+        # Venus and Earth starting on different workers.
+        owners = {c: _order(c, ["w0", "w1"])[0] for c in self.HELIOS}
+        assert owners == {"Venus": "w1", "Earth": "w0", "Saturn": "w1",
+                          "Uranus": "w1"}
+
+    def test_single_worker_hosts_everything(self):
+        for key in ("Venus", "Earth", "anything"):
+            assert _order(key, ["w0"]) == ["w0"]
+        for j in range(3):
+            assert _order("Venus", ["w0"], j, 3) == ["w0"]
+
+    def test_spread_is_bounded(self):
+        # Across many keys no worker is ranked first for a wildly
+        # outsized share.
         workers = ["w0", "w1", "w2", "w3"]
-        ring = HashRing(workers)
         counts = {w: 0 for w in workers}
-        n = 400
+        n = 1000
         for i in range(n):
-            counts[ring.owner(f"cluster-{i}")] += 1
+            counts[_order(f"cluster-{i}", workers)[0]] += 1
         fair = n / len(workers)
         for w, c in counts.items():
             assert 0.4 * fair <= c <= 2.0 * fair, (w, counts)
 
-    def test_single_surviving_worker_owns_everything(self):
-        ring = HashRing(["w0"])
-        for key in ("Venus", "Earth", "Venus@0", "Venus@1", "anything"):
-            assert ring.owner(key) == "w0"
-            assert ring.preference(key) == ["w0"]
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_replica_groups_start_on_distinct_workers(self, workers):
+        names = [f"w{i}" for i in range(workers)]
+        for cluster in self.HELIOS:
+            base = _order(cluster, names)
+            for k in range(1, workers + 1):
+                orders = [_order(cluster, names, j, k) for j in range(k)]
+                assert len({o[0] for o in orders}) == k, (cluster, orders)
+                # Each replica's order is its cluster's, rotated.
+                for j, order in enumerate(orders):
+                    assert order == base[j:] + base[:j]
+
+    def test_replicas_past_the_pool_wrap_round(self):
+        names = ["w0", "w1"]
+        starts = [_order("Venus", names, j, 3)[0] for j in range(3)]
+        assert starts == ["w1", "w0", "w1"]
 
 
 class TestNetConfig:
@@ -579,6 +594,29 @@ class TestListenMode:
         server.join(timeout=60.0)
         assert not server.is_alive()
         assert closed["op"] == "closed" and closed["total"] == 20
+
+    def test_event_after_close_is_refused(self):
+        """An event for a shard its client already closed is refused
+        and not admitted; the client stays connected, and the report
+        covers exactly the events sent before the close."""
+        task = _task("Venus")
+        batches = list(build_stream(task).batches(task.config.batch_window_s))
+        door = FrontDoor([task], net=NetConfig(workers=1, **FAST_NET))
+        server, out = _listen(door)
+        client = FrontDoorClient("127.0.0.1", door.port)
+        try:
+            closed = _stream(client, task, 5)
+            late = client.send_event("Venus", 5, batches[5])
+            status = client.request({"op": "status", "cluster": "Venus"})
+        finally:
+            client.close()
+        server.join(timeout=60.0)
+        assert not server.is_alive()
+        assert closed["op"] == "closed" and closed["total"] == 5
+        assert late == {"op": "error", "cluster": "Venus", "error": "closed"}
+        assert status["phase"] == "done"
+        (report,), _ = out["result"]
+        assert report.events == sum(len(b) for b in batches[:5])
 
     def test_clients_that_hang_up_without_bye_are_closed(self):
         """The front door closes the socket of a client that hangs up
@@ -872,6 +910,104 @@ class TestWorkerLifetime:
             for pid in filter(_running, pids):
                 os.kill(pid, signal.SIGKILL)
 
+    def test_shutdown_closes_every_link_and_workers_exit_cleanly(
+            self, monkeypatch):
+        """Shutdown closes every link before it joins any worker, and
+        EOF alone stops a worker: after a drive whose crashed worker
+        was respawned, every worker exits with code 0, well inside the
+        2 s join timeout.  (The respawned w1 was forked after w0, so it
+        holds a copy of w0's router end: w0 reads EOF only once w1 has
+        exited.)"""
+        seen = {}
+        shutdown = Router.shutdown
+
+        def _timed(router):
+            t0 = time.monotonic()
+            shutdown(router)
+            seen["s"] = time.monotonic() - t0
+            seen["links"] = list(router.links.values())
+
+        monkeypatch.setattr("repro.serve.net.router.Router.shutdown", _timed)
+        plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="crash", at=130),))
+        _, stats = _serve_net(["Venus"], workers=2, fault_plan=plan)
+        assert stats.respawns == 1
+        assert [link.proc.exitcode for link in seen["links"]] == [0, 0]
+        assert seen["s"] < 1.0
+
+
+class _BigAckSession:
+    """A session stand-in that serves each batch instantly."""
+
+    def __init__(self) -> None:
+        self.cursor = 0
+
+    def process(self, bi, batch) -> None:
+        self.cursor = bi + 1
+
+
+class _BigAckHost:
+    """A hosted-shard stand-in whose every ack carries a 4 MB
+    checkpoint, about the size of a real Venus shard's (3.4–4.2 MB)."""
+
+    def __init__(self, task, attempt, ckpt, plan) -> None:
+        self.attempt = attempt
+        self.session = _BigAckSession()
+        self.ctx = WorkerContext(task.shard_id, attempt)
+
+    def take_ckpt(self) -> bytes:
+        return bytes(4 << 20)
+
+
+def _recv_frame(sock):
+    """Read and decode one frame from a blocking socket."""
+    def exactly(n):
+        data = bytearray()
+        while len(data) < n:
+            chunk = sock.recv(min(n - len(data), 1 << 20))
+            if not chunk:
+                raise ConnectionError("worker hung up")
+            data += chunk
+        return bytes(data)
+
+    (length,) = struct.unpack(">I", exactly(4))
+    return unpack(exactly(length))
+
+
+class TestWorkerLink:
+    def test_checkpoint_acks_reach_a_router_that_sends_nothing(
+            self, monkeypatch):
+        """A worker waits on its link for writability while a reply is
+        queued: three multi-MB checkpoint acks reach a router that
+        sends nothing while it reads them, at the pace the router reads
+        rather than one socket buffer per timed wakeup; and closing the
+        link alone stops the worker."""
+        monkeypatch.setattr(worker_mod, "ShardHost", _BigAckHost)
+        router_end, worker_end = socket.socketpair()
+        worker = threading.Thread(target=worker_mod.worker_main,
+                                  args=(worker_end,), daemon=True)
+        worker.start()
+        try:
+            router_end.settimeout(30.0)
+            router_end.sendall(pack({"op": "resume", "cluster": "Venus",
+                                     "task": _task("Venus"), "attempt": 0,
+                                     "ckpt": None}))
+            assert _recv_frame(router_end)["op"] == "resume_ok"
+            t0 = time.monotonic()
+            for bi in range(3):
+                router_end.sendall(pack({"op": "batch", "cluster": "Venus",
+                                         "bi": bi, "items": [None]}))
+                ack = _recv_frame(router_end)
+                assert (ack["op"], ack["bi"], len(ack["ckpt"])) == (
+                    "ack", bi, 4 << 20)
+            elapsed = time.monotonic() - t0
+        finally:
+            router_end.close()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        # Socket pace is ~0.1 s on a 2-vCPU VM; draining one socket
+        # buffer per 50 ms wakeup takes 1.0-2.5 s there.
+        assert elapsed < 0.5, elapsed
+
 
 _UNPICKLED: list = []
 
@@ -970,15 +1106,16 @@ class TestReplication:
 
     def test_kill_and_partition_mid_broadcast_converges(
             self, repl_reference):
-        # The chaos headline: partition the link holding both replicas
-        # mid-stream, then SIGKILL the rerouted worker.  Each replica
-        # resumes from its own checkpoint and refits locally, and the
-        # decision streams still match the merged-stream oracle byte
-        # for byte.  (Ring places Venus@0 and Venus@1 on w0; the crash
-        # is keyed to attempt 1 — after the reroute.)
+        # The chaos headline: partition a replica's link mid-stream,
+        # then SIGKILL the worker it rerouted to.  Each replica resumes
+        # from its own checkpoint and refits locally, and the decision
+        # streams still match the merged-stream oracle byte for byte.
+        # (Venus@0 starts on w1 and Venus@1 on w0.  Link w1 carries one
+        # replica's frames, so frame 30 is about batch 116 of it; the
+        # crash is keyed to attempt 1 — after the reroute to w0.)
         plan = FaultPlan(seed=11, faults=(
             FaultSpec(key="Venus@0", kind="crash", attempt=1, at=130),
-            FaultSpec(key="link:w0", kind="partition", at=60, span=100_000),
+            FaultSpec(key="link:w1", kind="partition", at=30, span=100_000),
         ))
         reports, stats = _serve_repl("local", fault_plan=plan)
         slices = _ref_slices(repl_reference)
@@ -989,6 +1126,31 @@ class TestReplication:
         assert stats.link_failures >= 2
         assert stats.respawns >= 1
         assert stats.reroutes >= 2
+
+
+    def test_reroute_avoids_the_live_sibling(self, repl_reference):
+        # On 3 workers Venus@0 starts on w1 and Venus@1 on w0.  When w1
+        # dies early in the stream, Venus@0 moves to w2, the live worker
+        # hosting no replica of Venus, rather than onto w0 (the first
+        # other worker in its order); both decision streams still match
+        # the merged-stream oracle.
+        tasks = [
+            ShardTask(cluster="Venus", config=_config(**_REPL),
+                      checkpoint_every=50, replica_index=j, replica_count=2,
+                      **_TASK)
+            for j in range(2)
+        ]
+        plan = FaultPlan(seed=11, faults=(
+            FaultSpec(key="Venus@0", kind="crash", at=20),))
+        router = Router(tasks, net=NetConfig(workers=3, queue_bound=16,
+                                             **FAST_NET), fault_plan=plan)
+        reports, stats = router.drive()
+        assert stats.reroutes == 1 and stats.respawns == 1
+        assert [router.routes[t.shard_id].worker for t in tasks] == [
+            "w2", "w0"]
+        slices = _ref_slices(repl_reference)
+        for j, report in enumerate(reports):
+            assert report.decisions == _expected_for(slices, j, 2)
 
 
 class TestPassthrough:

@@ -11,10 +11,19 @@ serving only, so the router-plane flags reject it.
 """
 
 import json
+import os
+import re
+import select
+import socket
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import repro
 from repro.framework import FaultPlan, FaultSpec
+from repro.serve.net import pack
 from repro.serve.__main__ import (
     _parse_endpoint,
     build_parser,
@@ -190,3 +199,79 @@ class TestKnobPlumbing:
         assert captured["replicas"] == 3
         assert captured["config"].replicate == "local"
         capsys.readouterr()
+
+
+class TestFrontDoorEndpoints:
+    def test_listen_on_busy_port_exits_2_before_forking(self, capsys,
+                                                        monkeypatch):
+        """A port already in use is one ``error:`` line and exit 2, and
+        the socket is bound before any worker is forked."""
+        from repro.serve.net import Router
+
+        started = []
+        monkeypatch.setattr(Router, "start", lambda self: started.append(self))
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            port = busy.getsockname()[1]
+            assert main(["--clusters", "Venus",
+                         "--listen", f"127.0.0.1:{port}"]) == 2
+        err = _one_line_error(capsys)
+        assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+        assert started == []
+
+    def test_connect_stops_at_a_refused_event(self, capsys):
+        """A client whose shard settings differ from the front door's
+        streams refs past the door's tables; the door refuses the first
+        such event and hangs up, and the client prints one ``error:``
+        line naming the cluster and batch and exits 1."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        listener = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--clusters", "Venus",
+             "--days", "1", "--max-jobs", "300",
+             # a window past the stream admits every event without
+             # waiting for the worker's model fits
+             "--queue-bound", "100000", "--listen", "127.0.0.1:0"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            # A start that hangs fails the test instead of hanging it.
+            assert select.select([listener.stdout], [], [], 60.0)[0]
+            port = re.search(r"listening on port (\d+)",
+                             listener.stdout.readline()).group(1)
+            rc = main(["--clusters", "Venus", "--days", "2",
+                       "--max-jobs", "600", "--connect", f"127.0.0.1:{port}"])
+        finally:
+            # The door keeps the opened, never-closed shard: stop it.
+            listener.kill()
+            listener.wait()
+            listener.stdout.close()
+        assert rc == 1
+        err = _one_line_error(capsys)
+        assert re.match(r"error: Venus batch \d+ not accepted: ", err), err
+
+    def test_connect_stops_when_the_front_door_hangs_up(self, capsys):
+        """A front door that hangs up instead of answering an event
+        ends the client with one ``error:`` line naming the cluster
+        and batch, and exit 1."""
+        with socket.create_server(("127.0.0.1", 0)) as lsock:
+            port = lsock.getsockname()[1]
+
+            def _door():
+                conn, _ = lsock.accept()
+                with conn:
+                    conn.recv(1 << 16)  # open
+                    conn.sendall(pack({"op": "opened", "cluster": "Venus"},
+                                      fmt="json"))
+                    conn.recv(1 << 16)  # the first event, left unanswered
+
+            door = threading.Thread(target=_door, daemon=True)
+            door.start()
+            rc = main(["--clusters", "Venus", "--days", "1", "--max-jobs",
+                       "300", "--connect", f"127.0.0.1:{port}"])
+            door.join(timeout=30.0)
+        assert not door.is_alive()
+        assert rc == 1
+        err = _one_line_error(capsys)
+        assert err.startswith("error: Venus batch 0 not accepted: "), err

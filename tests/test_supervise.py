@@ -109,9 +109,9 @@ class TestHappyPath:
 class TestErrorPaths:
     def test_failures_isolated_per_item(self, baseline):
         """Isolation is per worker process: killing Venus's worker
-        (w1 on the 2-worker ring) leaves Uranus's attempt on w0 alone."""
+        (w1 of 3) leaves Uranus's attempt on w2 alone."""
         plan = FaultPlan(faults=(FaultSpec(key="Venus", kind="crash", at=130),))
-        reports, _, log = _routed(("Venus", "Uranus"), plan, workers=2)
+        reports, _, log = _routed(("Venus", "Uranus"), plan, workers=3)
         assert _events(log, "Venus") == [(0, "crash"), (1, "ok")]
         assert _events(log, "Uranus") == [(0, "ok")]
         assert [r.retries for r in reports] == [1, 0]
