@@ -106,6 +106,8 @@ def shard_order(task: ShardTask, workers) -> list[str]:
         key=lambda w: hashlib.md5(f"{task.cluster}:{w}".encode()).digest(),
         reverse=True,
     )
+    if not ranked:
+        raise ValueError("a shard needs at least one worker to rank")
     k = task.replica_index % len(ranked)
     return ranked[k:] + ranked[:k]
 
@@ -207,11 +209,13 @@ class RouteState:
         self.session: ServingSession | None = None
 
 
-def _worker_entry(sock, router_end, plan) -> None:
-    # The fork copied the router's end of this link; closing it lets the
-    # worker read EOF, and exit, when the router dies.  worker_main is
-    # looked up here, at call time, so a rebinding of it takes effect.
-    router_end.close()
+def _worker_entry(sock, router_ends, plan) -> None:
+    # The fork copied the router's end of this link and of every link
+    # opened before it; closing them lets each worker read EOF, and
+    # exit, as soon as the router closes its link or dies.  worker_main
+    # is looked up here, at call time, so a rebinding of it takes effect.
+    for end in router_ends:
+        end.close()
     worker_main(sock, plan)
 
 
@@ -247,8 +251,9 @@ class Router:
 
     def _spawn(self, name: str, epoch: int, spawns: int) -> WorkerLink:
         parent_sock, child_sock = socket.socketpair()
+        ends = [parent_sock] + [link.conn.sock for link in self.links.values()]
         proc = self._mp.Process(
-            target=_worker_entry, args=(child_sock, parent_sock, self.plan),
+            target=_worker_entry, args=(child_sock, ends, self.plan),
             daemon=True,
         )
         proc.start()
@@ -260,11 +265,9 @@ class Router:
 
     def shutdown(self) -> None:
         """Close every live link, then join its worker, which reads EOF
-        and exits.  Every link closes before any join: a worker forked
-        later holds a copy of an earlier worker's router end (the fork
-        copied it), so the earlier one reads EOF only once the later
-        one has exited.  A worker still alive when its join times out
-        is killed."""
+        and exits.  Every link closes before any join, so the workers
+        exit together.  A worker still alive when its join times out is
+        killed."""
         live = [link for link in self.links.values() if link.alive]
         for link in live:  # the dead were reaped, and counted, in _link_down
             self.stats.dropped_frames += link.conn.faults.dropped

@@ -250,38 +250,71 @@ def _order(cluster, workers, replica_index=0, replica_count=1):
                                  replica_count=replica_count), workers)
 
 
-class TestShardOrder:
+class TestHashRing:
+    """Shard placement (:func:`shard_order`, rendezvous hashing), which
+    replaced the vnode hash ring; each ring property keeps its test
+    name here, checked on the order the router now uses."""
+
     HELIOS = ("Venus", "Earth", "Saturn", "Uranus")
 
-    def test_deterministic_and_independent_of_worker_list_order(self):
-        # A pure function of md5 over (cluster, worker name): a rebuilt
-        # pool — new process, new run, workers listed in any order —
-        # gives every shard the identical full order, so placements and
-        # reroute targets are reproducible.
-        workers = ["w0", "w1", "w2", "w3"]
-        keys = [f"shard-{i}" for i in range(50)] + list(self.HELIOS)
-        for key in keys:
-            order = _order(key, workers)
-            assert sorted(order) == workers
-            assert _order(key, list(reversed(workers))) == order
-            assert _order(key, ["w2", "w0", "w3", "w1"]) == order
+    def test_deterministic_and_owner_heads_preference(self, monkeypatch):
+        # The router opens a shard on the head of its order, and the
+        # order is a permutation of the pool that does not depend on
+        # how the worker list is ordered.
+        monkeypatch.setattr(Router, "_send_resume", lambda *a: None)
+        tasks = [ShardTask(cluster=c) for c in self.HELIOS + ("Philly",)]
+        router = Router(tasks)
+        router.links = dict.fromkeys(["w2", "w0", "w1"])
+        for task in tasks:
+            order = shard_order(task, ["w0", "w1", "w2"])
+            assert sorted(order) == ["w0", "w1", "w2"]
+            assert shard_order(task, ["w2", "w0", "w1"]) == order
+            assert router.open_route(task).worker == order[0]
 
-    def test_two_worker_placement_of_helios_clusters(self):
+    def test_two_worker_ring_spreads_helios_clusters(self):
         # The chaos fixtures and the serve_frontdoor exhibit rely on
         # Venus and Earth starting on different workers.
         owners = {c: _order(c, ["w0", "w1"])[0] for c in self.HELIOS}
+        assert set(owners.values()) == {"w0", "w1"}
         assert owners == {"Venus": "w1", "Earth": "w0", "Saturn": "w1",
                           "Uranus": "w1"}
 
-    def test_single_worker_hosts_everything(self):
-        for key in ("Venus", "Earth", "anything"):
-            assert _order(key, ["w0"]) == ["w0"]
-        for j in range(3):
-            assert _order("Venus", ["w0"], j, 3) == ["w0"]
+    def test_ring_rejects_empty(self):
+        with pytest.raises(ValueError, match="worker"):
+            _order("Venus", [])
 
-    def test_spread_is_bounded(self):
-        # Across many keys no worker is ranked first for a wildly
-        # outsized share.
+    def test_preference_stable_across_restarts(self):
+        # Placement is a pure md5 of (cluster, worker name), never the
+        # salted hash(): a new process with another hash seed, given
+        # the pool in another order, computes the identical full order
+        # for every shard and replica, so reroute targets reproduce.
+        workers = ["w0", "w1", "w2", "w3"]
+        keys = [(f"shard-{i}", 0, 1) for i in range(50)]
+        keys += [("Venus", 0, 2), ("Venus", 1, 2)]
+        script = (
+            "import json, sys\n"
+            "from repro.serve.net.router import shard_order\n"
+            "from repro.serve.runtime import ShardTask\n"
+            "keys, workers = json.loads(sys.stdin.read())\n"
+            "print(json.dumps([shard_order(ShardTask(cluster=c, "
+            "replica_index=j, replica_count=k), workers) "
+            "for c, j, k in keys]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        for seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                input=json.dumps([keys, list(reversed(workers))]),
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=120, check=True,
+            ).stdout
+            assert json.loads(out) == [_order(c, workers, j, k)
+                                       for c, j, k in keys]
+
+    def test_vnode_distribution_is_bounded(self):
+        # Ownership stays balanced without vnodes: across many keys no
+        # worker is ranked first for a wildly outsized share.
         workers = ["w0", "w1", "w2", "w3"]
         counts = {w: 0 for w in workers}
         n = 1000
@@ -290,6 +323,12 @@ class TestShardOrder:
         fair = n / len(workers)
         for w, c in counts.items():
             assert 0.4 * fair <= c <= 2.0 * fair, (w, counts)
+
+    def test_single_surviving_worker_owns_everything(self):
+        for key in ("Venus", "Earth", "anything"):
+            assert _order(key, ["w0"]) == ["w0"]
+        for j in range(3):
+            assert _order("Venus", ["w0"], j, 3) == ["w0"]
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_replica_groups_start_on_distinct_workers(self, workers):
@@ -872,6 +911,19 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
+def _socket_inodes(pid: int) -> set[int]:
+    """Inodes of the sockets process ``pid`` holds open (from /proc)."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:
+            continue  # closed since the listing
+        if target.startswith("socket:["):
+            inodes.add(int(target[len("socket:["):-1]))
+    return inodes
+
+
 @needs_fork
 class TestWorkerLifetime:
     def test_workers_exit_when_router_dies(self):
@@ -910,14 +962,46 @@ class TestWorkerLifetime:
             for pid in filter(_running, pids):
                 os.kill(pid, signal.SIGKILL)
 
+    def test_workers_hold_no_router_end(self):
+        """The fork copies the router's end of the new link and of every
+        link opened before it; each worker, a respawned one included,
+        closes them all, so it reads EOF as soon as its own link closes
+        and never keeps another worker's link open."""
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("requires /proc")
+        router = Router([], net=NetConfig(workers=2))
+        router.start()
+        try:
+            # w0 respawns after w1, so the fork copies w1's router end.
+            router._link_down(router.links["w0"], time.monotonic(), "hangup")
+            ends = {os.fstat(link.conn.sock.fileno()).st_ino
+                    for link in router.links.values()}
+            for link in router.links.values():
+                # A reply shows the worker is past its closes: a batch
+                # for a shard it does not host is answered with a gap.
+                link.conn.send({"op": "batch", "cluster": "none", "bi": 0,
+                                "items": []})
+                replies: list = []
+                deadline = time.monotonic() + 30.0
+                while not replies and time.monotonic() < deadline:
+                    writes = [link.conn.sock] if link.conn.want_write else []
+                    select.select([link.conn.sock], writes, [], 0.5)
+                    link.conn.pump()
+                    replies = list(link.conn.receive())
+                assert [r["op"] for r in replies] == ["gap"]
+                assert not _socket_inodes(link.proc.pid) & ends, link.name
+        finally:
+            router.shutdown()
+        assert [link.proc.exitcode for link in router.links.values()] == [0, 0]
+
     def test_shutdown_closes_every_link_and_workers_exit_cleanly(
             self, monkeypatch):
         """Shutdown closes every link before it joins any worker, and
         EOF alone stops a worker: after a drive whose crashed worker
         was respawned, every worker exits with code 0, well inside the
-        2 s join timeout.  (The respawned w1 was forked after w0, so it
-        holds a copy of w0's router end: w0 reads EOF only once w1 has
-        exited.)"""
+        2 s join timeout.  (The respawned w1 was forked after w0 and
+        closed its copy of w0's router end, so w0 reads EOF as soon as
+        its own link closes.)"""
         seen = {}
         shutdown = Router.shutdown
 

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import select
+import signal
 import socket
 import subprocess
 import sys
@@ -234,6 +235,7 @@ class TestFrontDoorEndpoints:
              "--queue-bound", "100000", "--listen", "127.0.0.1:0"],
             env={**os.environ, "PYTHONPATH": src},
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            start_new_session=True,
         )
         try:
             # A start that hangs fails the test instead of hanging it.
@@ -243,8 +245,10 @@ class TestFrontDoorEndpoints:
             rc = main(["--clusters", "Venus", "--days", "2",
                        "--max-jobs", "600", "--connect", f"127.0.0.1:{port}"])
         finally:
-            # The door keeps the opened, never-closed shard: stop it.
-            listener.kill()
+            # The door keeps the opened, never-closed shard: stop it,
+            # and its workers with it, rather than leave them serving
+            # the batches already sent to them.
+            os.killpg(listener.pid, signal.SIGKILL)
             listener.wait()
             listener.stdout.close()
         assert rc == 1
