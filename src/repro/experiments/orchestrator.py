@@ -20,7 +20,9 @@ Runs a set of registered exhibits end-to-end:
 3. **Experiment phase** — a fresh pool is forked *after* warming, so
    every worker inherits the precursors copy-on-write.  Workers return
    serialized payload bytes; the parent stores them as artifacts and
-   decodes them for the report.
+   decodes them for the report.  A serial run (one job, one exhibit to
+   compute, or no ``fork``) skips the precursor phase and runs the same
+   tasks in-process, so its payloads take the same bytes round trip.
 
 Determinism: every experiment (serial or parallel, any worker count)
 runs under ``np.random.seed(stable_seed(exp_id))``, and payloads are
@@ -233,41 +235,19 @@ class ExperimentOrchestrator:
         to_run.sort(key=lambda s: (_COST_RANK[s.cost], s.exp_id))
 
         precursor_profile: list[dict] = []
-        parallel = self.jobs > 1 and len(to_run) > 1 and fork_available()
-        if parallel:
+        if self.jobs > 1 and len(to_run) > 1 and fork_available():
             precursor_profile = self._warm_precursors(to_run)
-            for exp_id, seconds, blob, error in run_forked(
-                _experiment_task, [s.exp_id for s in to_run], self.jobs
-            ):
-                if blob is None:
-                    reports[exp_id] = RunReport(
-                        exp_id, "failed", seconds, keys[exp_id], error
-                    )
-                    continue
-                payloads[exp_id] = loads_payload(blob)
-                self._store(keys[exp_id], exp_id, scenario, fingerprint, blob=blob)
+        for exp_id, seconds, blob, error in run_forked(
+            _experiment_task, [s.exp_id for s in to_run], self.jobs
+        ):
+            if blob is None:
                 reports[exp_id] = RunReport(
-                    exp_id, "computed", seconds, keys[exp_id]
+                    exp_id, "failed", seconds, keys[exp_id], error
                 )
-        else:
-            # in-process: keep the live payload, serialize only to store
-            for spec in to_run:
-                exp_id = spec.exp_id
-                t0 = time.perf_counter()
-                try:
-                    payload = _run_seeded(exp_id)
-                except Exception:
-                    reports[exp_id] = RunReport(
-                        exp_id, "failed", time.perf_counter() - t0,
-                        keys[exp_id], traceback.format_exc(),
-                    )
-                    continue
-                payloads[exp_id] = payload
-                self._store(keys[exp_id], exp_id, scenario, fingerprint,
-                            payload=payload)
-                reports[exp_id] = RunReport(
-                    exp_id, "computed", time.perf_counter() - t0, keys[exp_id]
-                )
+                continue
+            payloads[exp_id] = loads_payload(blob)
+            self._store(keys[exp_id], exp_id, scenario, fingerprint, blob)
+            reports[exp_id] = RunReport(exp_id, "computed", seconds, keys[exp_id])
 
         result = OrchestratorResult(
             reports=[reports[eid] for eid in exp_ids],
@@ -295,15 +275,13 @@ class ExperimentOrchestrator:
         exp_id: str,
         scenario: dict,
         fingerprint: str,
-        *,
-        payload: dict | None = None,
-        blob: bytes | None = None,
+        blob: bytes,
     ) -> None:
         if self.cache is not None:
             obs.counter_add("runner.cache.store")
             self.cache.store(
                 key,
-                payload,
+                None,
                 exp_id=exp_id,
                 params=scenario,
                 fingerprint=fingerprint,
@@ -345,31 +323,18 @@ class ExperimentOrchestrator:
             cold = [t for t in wave_tokens if not common.is_warm(t)]
             if not cold:
                 continue
-            if in_parent:
-                # Cheap derivations of already-warm values: forking would
-                # cost more than the work itself.
-                for token in cold:
-                    t0 = time.perf_counter()
-                    try:
-                        with obs.trace(f"precursor:{token}", token=token,
-                                       wave=wave, where="parent"):
-                            common.compute_precursor(token)
-                    except Exception:
-                        pass  # the exhibits needing it will report the failure
-                    profile.append({
-                        "token": token, "wave": wave, "where": "parent",
-                        "seconds": round(time.perf_counter() - t0, 4),
-                    })
-                continue
+            # Cheap derivations of already-warm values run in this
+            # process: forking would cost more than the work itself.
+            jobs, where = (1, "parent") if in_parent else (self.jobs, "pool")
             cold.sort(key=_token_rank)
             with obs.trace("runner.wave", wave=wave, tokens=len(cold)):
                 for token, value, ok, seconds in run_forked(
-                    _precursor_task, cold, self.jobs
+                    _precursor_task, cold, jobs
                 ):
                     if ok:
                         common.warm_precursor(token, value)
                     profile.append({
-                        "token": token, "wave": wave, "where": "pool",
+                        "token": token, "wave": wave, "where": where,
                         "seconds": round(seconds, 4),
                     })
         return profile

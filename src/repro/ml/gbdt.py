@@ -7,47 +7,30 @@ split.  For squared loss the negative gradient is simply the residual, so
 each stage fits a :class:`~repro.ml.tree.RegressionTree` to residuals.
 
 Like the simulator (``sim/fast.py``) the fit path has two modes:
-``mode="fast"`` (default) precomputes a :class:`~repro.ml.tree.HistogramCache`
-over the frozen binned matrix once per fit and reuses it across every
-boosting stage, driving the fused single-``bincount`` split search;
+``mode="fast"`` (default) builds a :class:`~repro.ml.tree.HistogramCache`
+over the binned training matrix once per boosting call (``fit``, or a
+``fit_more`` that adds stages) and reuses it across that call's stages,
+driving the fused single-``bincount`` split search;
 ``mode="reference"`` runs the scratch per-feature histogram loop.  Both
 produce byte-identical ensembles — the reference path is the oracle the
 parity tests and benchmarks compare against.
+
+A model is plain state: it pickles with its continuation buffers (the
+binned training matrix, targets, running predictions and RNG), so an
+unpickled model predicts and continues boosting exactly as the original
+would.  Serving checkpoints rely on that.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .tree import Binner, HistogramCache, RegressionTree, TreeParams
 
-__all__ = ["GBDTParams", "GBDTRegressor", "keep_training_state"]
-
-#: nesting depth of :func:`keep_training_state` contexts
-_KEEP_TRAINING_STATE = 0
-
-
-@contextmanager
-def keep_training_state():
-    """Make GBDT pickles carry their ``fit_more`` continuation buffers.
-
-    By default :meth:`GBDTRegressor.__getstate__` strips the binned
-    training matrix (it dominates the object's footprint and is useless
-    for plain prediction across a process boundary).  A crash-recovery
-    checkpoint is the exception: a restored serving shard must be able
-    to *continue incremental boosting* exactly where the dead one
-    stopped, so the serving layer pickles its model snapshots inside
-    this context.
-    """
-    global _KEEP_TRAINING_STATE
-    _KEEP_TRAINING_STATE += 1
-    try:
-        yield
-    finally:
-        _KEEP_TRAINING_STATE -= 1
+__all__ = ["GBDTParams", "GBDTRegressor"]
 
 _FIT_MODES = ("fast", "reference")
 
@@ -108,9 +91,6 @@ class GBDTRegressor:
         self._y_train: np.ndarray | None = None
         self._pred_train: np.ndarray | None = None
         self._rng: np.random.Generator | None = None
-        # Fast-mode per-feature offset cache over the frozen binned matrix,
-        # built once per fit and reused by every boosting stage.
-        self._hist_cache: HistogramCache | None = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -140,22 +120,14 @@ class GBDTRegressor:
             yv = np.asarray(yv, dtype=float)
             pred_val = np.full(yv.shape[0], self.base_score_)
 
-        tree_params = TreeParams(
-            max_depth=p.max_depth, min_samples_leaf=p.min_samples_leaf
-        )
         self.trees_ = []
         self.train_scores_ = []
         self.valid_scores_ = []
         best_val = np.inf
         best_iter = 0
-        n_bins = self.binner_.n_bins
-        self._hist_cache = (
-            HistogramCache(Xb, n_bins) if self.mode == "fast" else None
-        )
 
-        for it in range(p.n_estimators):
-            tree = self._boost_round(Xb, y, pred, rng, tree_params, n_bins)
-
+        stages = self._boost(Xb, y, pred, rng)
+        for it, tree in zip(range(p.n_estimators), stages):
             if pred_val is not None:
                 pred_val += p.learning_rate * tree.predict_binned(Xb_val)
                 val_mse = float(np.mean((yv - pred_val) ** 2))
@@ -177,57 +149,47 @@ class GBDTRegressor:
         self._rng = rng
         return self
 
-    def _boost_round(
+    def _boost(
         self,
         Xb: np.ndarray,
         y: np.ndarray,
         pred: np.ndarray,
         rng: np.random.Generator,
-        tree_params: TreeParams,
-        n_bins: int,
-    ) -> RegressionTree:
-        """One boosting stage, shared by :meth:`fit` and :meth:`fit_more`:
-        fit a tree to the residuals (optionally row-subsampled), advance
-        ``pred`` in place, record the tree and its training MSE."""
-        p = self.params
-        n = y.shape[0]
-        residual = y - pred
-        idx = None
-        if p.subsample < 1.0:
-            k = max(1, int(round(p.subsample * n)))
-            idx = rng.choice(n, size=k, replace=False)
-        tree = RegressionTree(tree_params).fit(
-            Xb,
-            residual,
-            sample_indices=idx,
-            n_bins=n_bins,
-            mode=self.mode,
-            cache=self._hist_cache,
-        )
-        pred += p.learning_rate * tree.predict_binned(Xb)
-        self.trees_.append(tree)
-        self.train_scores_.append(float(np.mean((y - pred) ** 2)))
-        return tree
+    ) -> Iterator[RegressionTree]:
+        """Boosting stages over one binned matrix, one per ``next``,
+        shared by :meth:`fit` and :meth:`fit_more`.
 
-    def __getstate__(self) -> dict:
-        """Drop the fit_more continuation buffers when pickling.
-
-        The binned training matrix / targets / running predictions exist
-        only so an *in-process* model can continue boosting cheaply; they
-        are the bulk of the object's footprint and are never useful
-        across a process boundary (orchestrator precursor shipping,
-        artifact payloads).  An unpickled model predicts normally but
-        refuses ``fit_more`` until re-fitted.  Inside a
-        :func:`keep_training_state` context (serving checkpoints) the
-        buffers are kept, so a restored model continues boosting.
+        Each stage fits a tree to the residuals (optionally
+        row-subsampled), advances ``pred`` in place, records the tree
+        and its training MSE, and yields the tree.  The fast path's
+        :class:`HistogramCache` over ``Xb`` is built at the first stage
+        and lives as long as the generator: one boosting call.
         """
-        state = self.__dict__.copy()
-        if not _KEEP_TRAINING_STATE:
-            state["_Xb_train"] = None
-            state["_y_train"] = None
-            state["_pred_train"] = None
-            state["_hist_cache"] = None
-        return state
+        p = self.params
+        tree_params = TreeParams(
+            max_depth=p.max_depth, min_samples_leaf=p.min_samples_leaf
+        )
+        n_bins = self.binner_.n_bins
+        cache = HistogramCache(Xb, n_bins) if self.mode == "fast" else None
+        n = y.shape[0]
+        while True:
+            residual = y - pred
+            idx = None
+            if p.subsample < 1.0:
+                k = max(1, int(round(p.subsample * n)))
+                idx = rng.choice(n, size=k, replace=False)
+            tree = RegressionTree(tree_params).fit(
+                Xb,
+                residual,
+                sample_indices=idx,
+                n_bins=n_bins,
+                mode=self.mode,
+                cache=cache,
+            )
+            pred += p.learning_rate * tree.predict_binned(Xb)
+            self.trees_.append(tree)
+            self.train_scores_.append(float(np.mean((y - pred) ** 2)))
+            yield tree
 
     # ------------------------------------------------------------------
     def fit_more(
@@ -241,11 +203,13 @@ class GBDTRegressor:
         The new rows are binned with the *frozen* :class:`Binner` from the
         initial fit, routed through the existing ensemble once to seed
         their predictions, and the boosting recursion resumes on the full
-        grown matrix — so an incremental stage costs the same as a stage
-        of the original fit, and no feature re-binning of old rows ever
-        happens.  Used by the rolling-origin evaluation engine to advance
-        the GBDT comparator by one fold in O(n_more · n_rows) instead of
-        re-running the whole boosting schedule.
+        grown matrix, over a histogram cache built for this call — so an
+        incremental stage costs the same as a stage of the original fit,
+        and no feature re-binning of old rows ever happens.  Used by the
+        rolling-origin evaluation engine to advance the GBDT comparator
+        by one fold in O(n_more · n_rows) instead of re-running the
+        whole boosting schedule.  An unpickled model continues the same
+        way: its buffers and RNG travel with it.
 
         Not available after an early-stopped fit (the truncated ensemble
         would disagree with the cached training predictions).
@@ -256,7 +220,6 @@ class GBDTRegressor:
             raise RuntimeError("cannot continue an early-stopped fit")
         if n_more < 0:
             raise ValueError("n_more must be >= 0")
-        p = self.params
         X_new = np.asarray(X_new, dtype=float)
         y_new = np.asarray(y_new, dtype=float)
         if X_new.ndim == 1:
@@ -265,22 +228,16 @@ class GBDTRegressor:
             raise ValueError("X/y shape mismatch")
         if X_new.shape[0]:
             Xb_new = self.binner_.transform(X_new)
-            pred_new = np.full(X_new.shape[0], self.base_score_)
-            for tree in self.trees_:
-                pred_new += p.learning_rate * tree.predict_binned(Xb_new)
+            pred_new = self._ensemble_sum(Xb_new, len(self.trees_))
             self._Xb_train = np.vstack([self._Xb_train, Xb_new])
-            if self._hist_cache is not None:
-                self._hist_cache.append(Xb_new)
             self._y_train = np.concatenate([self._y_train, y_new])
             self._pred_train = np.concatenate([self._pred_train, pred_new])
 
-        Xb, y, pred = self._Xb_train, self._y_train, self._pred_train
-        tree_params = TreeParams(
-            max_depth=p.max_depth, min_samples_leaf=p.min_samples_leaf
+        stages = self._boost(
+            self._Xb_train, self._y_train, self._pred_train, self._rng
         )
-        n_bins = self.binner_.n_bins
         for _ in range(n_more):
-            self._boost_round(Xb, y, pred, self._rng, tree_params, n_bins)
+            next(stages)
         return self
 
     # ------------------------------------------------------------------
@@ -302,7 +259,13 @@ class GBDTRegressor:
                 if self.best_iteration_ is not None
                 else len(self.trees_)
             )
-        out = np.full(X.shape[0], self.base_score_)
+        return self._ensemble_sum(Xb, n_trees)
+
+    def _ensemble_sum(self, Xb: np.ndarray, n_trees: int) -> np.ndarray:
+        """The first ``n_trees`` stages summed over binned rows: the one
+        ensemble walk behind :meth:`predict` and :meth:`fit_more`'s
+        seeding of new rows."""
+        out = np.full(Xb.shape[0], self.base_score_)
         lr = self.params.learning_rate
         for tree in self.trees_[:n_trees]:
             out += lr * tree.predict_binned(Xb)

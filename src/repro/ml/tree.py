@@ -16,9 +16,9 @@ mirroring the fast/reference split of :mod:`repro.sim.fast`:
 
 * ``"fast"`` (default) — one fused ``np.bincount`` pass per level keyed
   by ``node_slot · (m · n_bins) + feature · n_bins + bin``, with the
-  per-feature key offsets precomputed once per GBDT fit in a
-  :class:`HistogramCache` (the binned matrix is frozen across boosting
-  stages, so the cache is built once and reused by every tree).
+  per-feature key offsets precomputed once per boosting call in a
+  :class:`HistogramCache` (the binned matrix is frozen across that
+  call's stages, so the cache is built once and reused by every tree).
 * ``"reference"`` — the original per-feature Python loop (two
   ``np.bincount`` calls per feature per level), kept verbatim as the
   byte-parity correctness oracle.
@@ -126,11 +126,12 @@ class HistogramCache:
     Stores ``base[i, f] = f * n_bins + X_binned[i, f]`` so the fast fit
     path can build every (node, feature, bin) histogram of a level with
     a single ``np.bincount`` keyed by ``slot * (m * n_bins) + base``.
-    A GBDT fit builds the cache once from the binned training matrix and
-    hands it to every boosting stage — the per-feature key arithmetic
-    (and the int64 upcast of the whole matrix) happens once per fit
-    instead of once per feature per level per tree.  ``append`` extends
-    it in step with ``fit_more``'s row growth.
+    A GBDT boosting call (``fit``, or a ``fit_more`` that adds stages)
+    builds the cache once from the binned training matrix and hands it
+    to each of its stages — the per-feature key arithmetic (and the
+    int64 upcast of the whole matrix) happens once per call instead of
+    once per feature per level per tree.  The cache lives only for that
+    call, so a model never holds or pickles it.
     """
 
     def __init__(self, X_binned: np.ndarray, n_bins: int) -> None:
@@ -140,27 +141,8 @@ class HistogramCache:
         if n_bins < 1:
             raise ValueError("n_bins must be >= 1")
         self.n_bins = int(n_bins)
-        self._offsets = (
-            np.arange(X_binned.shape[1], dtype=np.int64) * self.n_bins
-        )
-        self.base = X_binned.astype(np.int64) + self._offsets
-
-    @property
-    def n_rows(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.base.shape[1]
-
-    def append(self, X_binned_new: np.ndarray) -> None:
-        """Extend the cache with freshly binned rows (continued boosting)."""
-        X_binned_new = np.asarray(X_binned_new)
-        if X_binned_new.ndim != 2 or X_binned_new.shape[1] != self.n_features:
-            raise ValueError("appended rows must match the cached feature count")
-        self.base = np.vstack(
-            [self.base, X_binned_new.astype(np.int64) + self._offsets]
-        )
+        offsets = np.arange(X_binned.shape[1], dtype=np.int64) * self.n_bins
+        self.base = X_binned.astype(np.int64) + offsets
 
 
 @dataclass(frozen=True)

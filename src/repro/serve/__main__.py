@@ -390,33 +390,54 @@ def _run_listen(args, clusters, config, netcfg, fault_plan) -> int:
 
 
 def _run_connect(args, clusters, config) -> int:
-    """Client load generator: replay shard streams into a front door."""
+    """Client load generator: replay shard streams into a front door.
+
+    Every request must get its expected reply.  A front door that
+    cannot be reached, refuses a request, hangs up or times out stops
+    the run with one ``error:`` line and exit 1.
+    """
     from .net import FrontDoorClient
     from .runtime import build_stream
 
     host, port = _parse_endpoint(args.connect, default_host="127.0.0.1")
-    client = FrontDoorClient(host, port)
+    try:
+        client = FrontDoorClient(host, port)
+    except OSError as exc:
+        print(f"error: cannot connect to {host}:{port}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
+
+    def ask(expect: str, failure: str, send, *request) -> dict | None:
+        """``send(*request)``'s reply, or None after printing why it is
+        not ``expect``."""
+        try:
+            reply = send(*request)
+        except OSError as exc:  # the front door hung up or timed out
+            reply = {"error": f"{type(exc).__name__}: {exc}"}
+        if reply.get("op") == expect:
+            return reply
+        print(f"error: {failure}: {reply.get('error', reply)}", file=sys.stderr)
+        return None
+
     try:
         for task in _shard_tasks(args, clusters, config):
-            reply = client.request({"op": "open", "cluster": task.cluster})
-            if reply.get("op") != "opened":
-                print(f"error: {reply}", file=sys.stderr)
+            cluster = task.cluster
+            if ask("opened", f"{cluster} not opened",
+                   client.request, {"op": "open", "cluster": cluster}) is None:
                 return 1
             batches = list(
                 build_stream(task).batches(task.config.batch_window_s)
             )
             for bi, batch in enumerate(batches):
-                try:
-                    reply = client.send_event(task.cluster, bi, batch)
-                except OSError as exc:  # the front door hung up
-                    reply = {"error": f"{type(exc).__name__}: {exc}"}
-                if reply.get("op") != "accepted":
-                    print(f"error: {task.cluster} batch {bi} not accepted: "
-                          f"{reply.get('error', reply)}", file=sys.stderr)
+                if ask("accepted", f"{cluster} batch {bi} not accepted",
+                       client.send_event, cluster, bi, batch) is None:
                     return 1
-            reply = client.request({"op": "close", "cluster": task.cluster})
-            print(f"[{task.cluster:7s}] {len(batches)} batches served; "
-                  f"parity {reply.get('parity_sha', '')[:16]}")
+            reply = ask("closed", f"{cluster} not closed",
+                        client.request, {"op": "close", "cluster": cluster})
+            if reply is None:
+                return 1
+            print(f"[{cluster:7s}] {len(batches)} batches served; "
+                  f"parity {reply['parity_sha'][:16]}")
     finally:
         client.close()
     return 0

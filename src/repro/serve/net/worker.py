@@ -25,7 +25,9 @@ The worker blocks in one wait on its link, with no timeout: until the
 router sends, or, while a reply is queued, until the link can take
 more of it, so a multi-MB checkpoint ack drains as fast as the router
 reads it.  EOF is its one stop signal: the router closed the link (at
-shutdown, or to take the worker down) or died.
+shutdown, or to take the worker down) or died.  Frames read in the same
+pass as EOF are dropped unserved, since no one is left to read their
+replies.
 
 A shard never moves off a live worker: the router kills a link's
 process before rerouting its shards, so no session is left to drop.
@@ -84,7 +86,12 @@ class ShardHost:
 
 
 def worker_main(sock, plan: FaultPlan | None = None) -> None:
-    """Serve RPCs on ``sock`` until the router hangs up."""
+    """Serve RPCs on ``sock`` until the router hangs up.
+
+    A read that hits EOF ends the loop before the frames it decoded are
+    handled: a router closes a link only once its routes are done, or
+    after killing the worker, so those frames have no reader left.
+    """
     # Import here keeps FramedConn construction after the fork.
     from .framing import FramedConn
 
@@ -97,8 +104,11 @@ def worker_main(sock, plan: FaultPlan | None = None) -> None:
             sel.modify(sock, selectors.EVENT_READ | writable)
             sel.select()
             conn.pump()
+            msgs = conn.receive()
+            if conn.closed:
+                break
             acks: dict[str, int] = {}
-            for msg in conn.receive():
+            for msg in msgs:
                 op = msg.get("op")
                 if op == "batch":
                     _handle_batch(conn, hosts, msg, acks)

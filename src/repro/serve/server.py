@@ -72,7 +72,7 @@ from ..framework import (
     ResourceOrchestrator,
     UpdatePolicy,
 )
-from ..ml.gbdt import GBDTParams, keep_training_state
+from ..ml.gbdt import GBDTParams
 from ..obs import collect as obs
 from ..obs.metrics import Histogram
 from .stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventStream
@@ -437,12 +437,14 @@ class PredictionServer:
         """Pickle the server's attributes and the loop state as they are.
 
         Every attribute is serving state, so a new one is checkpointed
-        without being listed anywhere.  Wall-clock telemetry (latency
-        recorders) lives on the session and is deliberately *not*
-        checkpointed — it is excluded from the parity surface.
+        without being listed anywhere.  A GBDT pickles whole, with its
+        continuation buffers, so a restored shard's models continue
+        incremental boosting exactly where the checkpointed ones stood.
+        Wall-clock telemetry (latency recorders) lives on the session
+        and is deliberately *not* checkpointed — it is excluded from the
+        parity surface.
         """
-        with keep_training_state():
-            blob = pickle.dumps((self.__dict__, state))
+        blob = pickle.dumps((self.__dict__, state))
         return ShardCheckpoint(
             cluster=stream.cluster,
             cursor=state["cursor"],

@@ -261,8 +261,8 @@ class TestGBDTIncremental:
         assert split.train_scores_ == joint.train_scores_
 
     def test_fit_more_fast_reference_parity(self):
-        """Continuation with appended rows (cache append path) stays
-        byte-identical across modes."""
+        """Continuation with appended rows stays byte-identical across
+        modes."""
         rng = np.random.default_rng(6)
         X = rng.normal(size=(400, 4))
         y = X[:, 0] + 0.1 * rng.normal(size=400)
@@ -304,19 +304,24 @@ class TestGBDTIncremental:
         model.inner.extend(y)  # same series: zero new rows
         assert len(model.inner.model.trees_) == n_trees
 
-    def test_pickle_drops_continuation_buffers(self):
-        """Pickling ships a predict-only model: same predictions, no
-        fit_more continuation (the buffers are in-process state)."""
+    def test_pickle_round_trip_continues_boosting(self):
+        """A pickle keeps the whole model: the clone predicts and
+        continues boosting exactly as the original does, subsampling
+        RNG included."""
         import pickle
 
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(200, 3))
-        y = X[:, 0] + 0.1 * rng.normal(size=200)
-        model = GBDTRegressor(GBDTParams(n_estimators=10)).fit(X, y)
+        X = rng.normal(size=(260, 3))
+        y = X[:, 0] + 0.1 * rng.normal(size=260)
+        model = GBDTRegressor(
+            GBDTParams(n_estimators=10, subsample=0.7)
+        ).fit(X[:200], y[:200])
         clone = pickle.loads(pickle.dumps(model))
         np.testing.assert_array_equal(clone.predict(X), model.predict(X))
-        with pytest.raises(RuntimeError):
-            clone.fit_more(X[:5], y[:5], 1)
+        model.fit_more(X[200:], y[200:], n_more=5)
+        clone.fit_more(X[200:], y[200:], n_more=5)
+        np.testing.assert_array_equal(clone.predict(X), model.predict(X))
+        assert clone.train_scores_ == model.train_scores_
 
     def test_build_at_matches_build(self):
         y = _series(n=400)

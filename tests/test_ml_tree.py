@@ -196,15 +196,6 @@ class TestFastReferenceParity:
         )
         _assert_same_tree(ref, fast)
 
-    def test_cache_append_matches_fresh_cache(self):
-        rng = np.random.default_rng(12)
-        Xb = rng.integers(0, 8, size=(50, 3)).astype(np.int32)
-        extra = rng.integers(0, 8, size=(20, 3)).astype(np.int32)
-        grown = HistogramCache(Xb, 8)
-        grown.append(extra)
-        fresh = HistogramCache(np.vstack([Xb, extra]), 8)
-        np.testing.assert_array_equal(grown.base, fresh.base)
-
 
 class TestTreeParams:
     def test_validation(self):

@@ -1029,6 +1029,19 @@ class _BigAckSession:
         self.cursor = bi + 1
 
 
+class _SlowSession(_BigAckSession):
+    """A session stand-in that takes 50 ms per batch and logs it."""
+
+    def __init__(self, served: list) -> None:
+        super().__init__()
+        self.served = served
+
+    def process(self, bi, batch) -> None:
+        time.sleep(0.05)
+        self.served.append(bi)
+        super().process(bi, batch)
+
+
 class _BigAckHost:
     """A hosted-shard stand-in whose every ack carries a 4 MB
     checkpoint, about the size of a real Venus shard's (3.4–4.2 MB)."""
@@ -1090,6 +1103,32 @@ class TestWorkerLink:
         assert not worker.is_alive()
         # Socket pace is ~0.1 s on a 2-vCPU VM; draining one socket
         # buffer per 50 ms wakeup takes 1.0-2.5 s there.
+        assert elapsed < 0.5, elapsed
+
+    def test_eof_drops_the_frames_read_with_it(self, monkeypatch):
+        """A router that wrote a resume and 40 batches and then hung up
+        reads no reply: the worker returns at once, serving none of
+        them, instead of 40 × 50 ms of batches for no one."""
+        served: list[int] = []
+
+        def slow_host(task, attempt, ckpt, plan):
+            host = _BigAckHost(task, attempt, ckpt, plan)
+            host.session = _SlowSession(served)
+            return host
+
+        monkeypatch.setattr(worker_mod, "ShardHost", slow_host)
+        router_end, worker_end = socket.socketpair()
+        router_end.sendall(pack({"op": "resume", "cluster": "Venus",
+                                 "task": _task("Venus"), "attempt": 0,
+                                 "ckpt": None}))
+        for bi in range(40):
+            router_end.sendall(pack({"op": "batch", "cluster": "Venus",
+                                     "bi": bi, "items": [None]}))
+        router_end.close()
+        t0 = time.monotonic()
+        worker_mod.worker_main(worker_end)
+        elapsed = time.monotonic() - t0
+        assert served == []
         assert elapsed < 0.5, elapsed
 
 
@@ -1217,7 +1256,10 @@ class TestReplication:
         # dies early in the stream, Venus@0 moves to w2, the live worker
         # hosting no replica of Venus, rather than onto w0 (the first
         # other worker in its order); both decision streams still match
-        # the merged-stream oracle.
+        # the merged-stream oracle.  Venus@1 serves its whole slice in
+        # about 60 ms, so it starts a second late: a replica that has
+        # finished leaves w0 hosting no live sibling, and one whose
+        # worker came up 50 ms sooner did finish before the crash.
         tasks = [
             ShardTask(cluster="Venus", config=_config(**_REPL),
                       checkpoint_every=50, replica_index=j, replica_count=2,
@@ -1225,7 +1267,9 @@ class TestReplication:
             for j in range(2)
         ]
         plan = FaultPlan(seed=11, faults=(
-            FaultSpec(key="Venus@0", kind="crash", at=20),))
+            FaultSpec(key="Venus@0", kind="crash", at=20),
+            FaultSpec(key="Venus@1", kind="slow_start", delay_s=1.0),
+        ))
         router = Router(tasks, net=NetConfig(workers=3, queue_bound=16,
                                              **FAST_NET), fault_plan=plan)
         reports, stats = router.drive()

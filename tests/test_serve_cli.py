@@ -279,3 +279,36 @@ class TestFrontDoorEndpoints:
         assert rc == 1
         err = _one_line_error(capsys)
         assert err.startswith("error: Venus batch 0 not accepted: "), err
+
+    def test_connect_to_nothing_listening_is_one_error_line(self, capsys):
+        """A port with nothing listening ends the client with one
+        ``error:`` line naming the endpoint, and exit 1."""
+        with socket.create_server(("127.0.0.1", 0)) as lsock:
+            port = lsock.getsockname()[1]
+        rc = main(["--clusters", "Venus", "--days", "1", "--max-jobs",
+                   "300", "--connect", f"127.0.0.1:{port}"])
+        assert rc == 1
+        err = _one_line_error(capsys)
+        assert err.startswith(f"error: cannot connect to 127.0.0.1:{port}: "), err
+
+    def test_connect_stops_when_the_front_door_hangs_up_on_open(self, capsys):
+        """A front door that hangs up before it answers ``open`` ends
+        the client with one ``error:`` line naming the cluster, and
+        exit 1."""
+        with socket.create_server(("127.0.0.1", 0)) as lsock:
+            port = lsock.getsockname()[1]
+
+            def _door():
+                conn, _ = lsock.accept()
+                with conn:
+                    conn.recv(1 << 16)  # open, left unanswered
+
+            door = threading.Thread(target=_door, daemon=True)
+            door.start()
+            rc = main(["--clusters", "Venus", "--days", "1", "--max-jobs",
+                       "300", "--connect", f"127.0.0.1:{port}"])
+            door.join(timeout=30.0)
+        assert not door.is_alive()
+        assert rc == 1
+        err = _one_line_error(capsys)
+        assert err.startswith("error: Venus not opened: "), err
