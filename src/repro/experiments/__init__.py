@@ -9,7 +9,6 @@ worker pool; :mod:`.runner` is the CLI.
 from .cache import ArtifactCache, code_fingerprint
 from .orchestrator import ExperimentOrchestrator, OrchestratorResult, RunReport
 from .registry import (
-    EXPERIMENTS,
     ExperimentSpec,
     SPECS,
     experiment_ids,
@@ -20,7 +19,6 @@ from .registry import (
 
 __all__ = [
     "ArtifactCache",
-    "EXPERIMENTS",
     "ExperimentOrchestrator",
     "ExperimentSpec",
     "OrchestratorResult",

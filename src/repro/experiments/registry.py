@@ -30,7 +30,6 @@ from . import ablations, characterization, energy_exp, scheduling, serving
 from .common import CLUSTERS, SCHEDULER_NAMES
 
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentSpec",
     "SPECS",
     "experiment_ids",
@@ -148,11 +147,6 @@ _SPEC_TABLE: tuple[ExperimentSpec, ...] = (
 )
 
 SPECS: dict[str, ExperimentSpec] = {spec.exp_id: spec for spec in _SPEC_TABLE}
-
-#: Back-compat view: id -> zero-arg callable.
-EXPERIMENTS: dict[str, Callable[[], dict]] = {
-    spec.exp_id: spec.fn for spec in _SPEC_TABLE
-}
 
 
 def experiment_ids() -> list[str]:

@@ -3,7 +3,10 @@
 These adapters put the concrete implementations from
 :mod:`repro.sched` / :mod:`repro.energy` behind the
 :class:`~repro.framework.service.PredictionService` interface so they
-compose with the Model Update Engine and Resource Orchestrator.
+compose with the Model Update Engine and Resource Orchestrator.  Each
+keeps what its own refresh needs: QSSF its training window and the
+finished jobs it observed, CES its demand series, the FIFO passthrough
+nothing.
 """
 
 from __future__ import annotations
@@ -23,19 +26,20 @@ __all__ = ["QSSFService", "CESNodeService", "PassthroughQueueService"]
 class QSSFService(PredictionService):
     """Quasi-Shortest-Service-First as a pluggable service.
 
-    ``fit`` trains the estimators on a historical trace; ``predict``
-    returns expected GPU time for a batch of queued jobs; ``act`` sorts
-    a queue table into scheduling order; ``observe`` feeds finished jobs
-    to the rolling estimator.
+    ``fit`` trains the estimators on a historical trace (kept as
+    ``history``, the training window); ``predict`` returns expected GPU
+    time for a batch of queued jobs; ``act`` sorts a queue table into
+    scheduling order; ``observe`` feeds a finished job to the rolling
+    estimator and keeps its row in ``observed``.
 
     ``refit_mode`` selects how the Model Update Engine refreshes the
     service: ``"incremental"`` (default) advances the fitted model in
     place — the rolling estimator is already fresh from ``observe`` and
-    the GBDT continues boosting on the new jobs only
+    the GBDT continues boosting on the rows it has not consumed yet
     (:meth:`~repro.sched.qssf.QSSFScheduler.update_model`,
-    ``GBDTParams`` preserved); ``"scratch"`` keeps the original
-    full-history refit, the correctness oracle the incremental path is
-    band-tested against.
+    ``GBDTParams`` preserved); ``"scratch"`` keeps the original refit
+    on the training window plus every observed row, the correctness
+    oracle the incremental path is band-tested against.
     """
 
     service_name = "qssf"
@@ -56,6 +60,11 @@ class QSSFService(PredictionService):
         self.gbdt_params = gbdt_params
         self.refit_mode = refit_mode
         self.scheduler: QSSFScheduler | None = None
+        self.history: Table | None = None
+        #: finished-job rows observed since ``fit``
+        self.observed: list[dict] = []
+        #: how many of ``observed`` the model has trained on
+        self._consumed = 0
 
     @property
     def supports_incremental(self) -> bool:
@@ -65,19 +74,30 @@ class QSSFService(PredictionService):
         self.scheduler = QSSFScheduler(
             history, lam=self.lam, gbdt_params=self.gbdt_params
         )
+        self.history = history
+        self.observed = []
+        self._consumed = 0
         return self
 
-    def apply_update(self, new_history: Table) -> "QSSFService":
-        """Advance the fitted model with the jobs finished since the
-        last refresh (the engine's ``update_builder`` delta table).
+    def refit(self) -> "QSSFService":
+        """Retrain on the training window plus every observed row."""
+        if self.history is None:
+            raise RuntimeError("QSSFService not fitted")
+        self.scheduler = QSSFScheduler(
+            Table.concat([self.history, Table.from_rows(self.observed)]),
+            lam=self.lam, gbdt_params=self.gbdt_params,
+        )
+        self._consumed = len(self.observed)
+        return self
 
-        Unlike the retain-observations services, the GBDT half has *not*
-        seen these jobs yet — ``observe`` only feeds the rolling
-        estimator — so the delta is ingested here, as continued boosting.
-        """
+    def apply_update(self) -> "QSSFService":
+        """Continue boosting on the observed rows the GBDT has not
+        consumed yet; the rolling estimator already has them from
+        :meth:`observe`."""
         if self.scheduler is None:
             raise RuntimeError("QSSFService not fitted")
-        self.scheduler.update_model(new_history)
+        self.scheduler.update_model(Table.from_rows(self.observed[self._consumed:]))
+        self._consumed = len(self.observed)
         return self
 
     def predict(self, request: Table) -> np.ndarray:
@@ -92,21 +112,23 @@ class QSSFService(PredictionService):
         return state.take(order)
 
     def observe(self, event) -> None:
-        """``event`` is a finished-job dict with user/name/gpu_num/duration."""
+        """``event`` is a finished-job row (a dict with at least
+        user/name/gpu_num/duration) that refits train on."""
         if self.scheduler is not None:
             self.scheduler.observe(
                 event["user"], event["name"], int(event["gpu_num"]),
                 float(event["duration"]),
             )
+        self.observed.append(event)
 
 
 class PassthroughQueueService(PredictionService):
     """FIFO passthrough — the QSSF degradation ladder's last rung.
 
     Model-free and unfailable: ``act`` returns the queue in arrival
-    order, ``predict`` returns zeros, ``fit``/``apply_update`` are
-    no-ops.  When every smarter fallback has raised, the serving loop
-    swaps this in so decisions keep flowing.
+    order, ``predict`` returns zeros, ``fit``/``refit`` are no-ops and
+    observations are dropped.  When every smarter fallback has raised,
+    the serving loop swaps this in so decisions keep flowing.
     """
 
     service_name = "qssf"
@@ -115,7 +137,7 @@ class PassthroughQueueService(PredictionService):
     def fit(self, history) -> "PassthroughQueueService":
         return self
 
-    def apply_update(self, new_history) -> "PassthroughQueueService":
+    def refit(self) -> "PassthroughQueueService":
         return self
 
     def predict(self, request) -> np.ndarray:
@@ -141,7 +163,9 @@ class CESNodeService(PredictionService):
     path so the model advances between full refits instead of merely
     buffering data for the next scratch fit.  ``apply_update`` (the
     Model Update Engine's incremental refit hook) forces any still
-    buffered samples into the model immediately.
+    buffered samples into the model immediately; ``refit`` fits afresh
+    on the whole series.  The series is the only log: the engine keeps
+    none.
     """
 
     service_name = "ces"
@@ -197,18 +221,16 @@ class CESNodeService(PredictionService):
         if self.forecaster is not None and len(self._pending) >= self.update_every:
             self._advance()
 
-    def apply_update(self, new_history=None) -> "CESNodeService":
-        """Force any buffered samples into the model immediately.
+    def refit(self) -> "CESNodeService":
+        """Fit afresh on the training window plus every observed sample."""
+        if self._history is None:
+            raise RuntimeError("CESNodeService not fitted")
+        return self.fit(self.history)
 
-        The service retains its observations, so per the
-        :meth:`~repro.framework.service.PredictionService.apply_update`
-        contract the argument is *never* ingested: every sample reaches
-        the service through :meth:`observe` before a refit fires, and
-        re-ingesting the engine-built delta would double-count it (in
-        the worst case silently corrupting the demand series whenever a
-        refit lands just after an ``update_every`` flush).  Ingest via
-        :meth:`observe`; this call only flushes.
-        """
+    def apply_update(self) -> "CESNodeService":
+        """Force any buffered samples into the model immediately; every
+        sample already arrived through :meth:`observe`, so this only
+        flushes."""
         if self.forecaster is None:
             raise RuntimeError("CESNodeService not fitted")
         self._advance()

@@ -2,9 +2,11 @@
 
 A *service* is a plug-and-play unit that (a) fits a prediction model
 from historical data, (b) predicts upcoming job/cluster behaviour, and
-(c) converts predictions into resource-management actions.  The Model
-Update Engine periodically refits services on fresh history; the
-Resource Orchestrator invokes them at decision points.
+(c) converts predictions into resource-management actions.  A service
+keeps the run-time observations it is handed, as much of them as its
+own refresh needs.  The Model Update Engine decides when a service
+refreshes its model on them; the Resource Orchestrator invokes it at
+decision points.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class PredictionService(ABC):
 
     #: True when :meth:`apply_update` can advance the fitted model
     #: in place; the Model Update Engine then prefers the incremental
-    #: refit path over a scratch :meth:`fit`.
+    #: refit path over a scratch :meth:`refit`.
     supports_incremental: bool = False
 
     @abstractmethod
@@ -41,24 +43,25 @@ class PredictionService(ABC):
     def observe(self, event: Any) -> None:
         """Ingest one run-time observation (finished job, node sample).
 
-        Default: no-op.  The Model Update Engine calls this between
-        refits so cheap online statistics stay fresh.
+        Default: no-op.  The Model Update Engine hands every observation
+        here; a service keeps what its :meth:`refit` and
+        :meth:`apply_update` need and may keep cheap online statistics
+        fresh with it.
         """
 
-    def apply_update(self, new_history: Any) -> "PredictionService":
-        """Advance the fitted model with the observations gathered since
-        the last refit, without refitting from scratch.
+    @abstractmethod
+    def refit(self) -> "PredictionService":
+        """Retrain from scratch on the fit history plus every observation
+        since (the Model Update Engine's scratch path)."""
 
-        ``new_history`` is the engine's ``update_builder`` view of the
-        unconsumed observation buffer — the *new events only*, never the
-        full history.  Services that already retain observations via
-        :meth:`observe` MUST ignore the argument and treat the call as
-        "bring the model up to date now": every event reaches the
-        service through :meth:`observe` before a refit fires, so
-        re-ingesting the argument would double-count it.  Only services
-        declaring ``supports_incremental = True`` are expected to
-        implement this; the default raises so a misconfigured engine
-        fails loudly instead of silently keeping a stale model.
+    def apply_update(self) -> "PredictionService":
+        """Advance the fitted model with the observations gathered since
+        the last refresh, without refitting from scratch.
+
+        Only services declaring ``supports_incremental = True`` are
+        expected to implement this; the default raises so a
+        misconfigured engine fails loudly instead of silently keeping a
+        stale model.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not support incremental updates"

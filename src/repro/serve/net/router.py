@@ -77,7 +77,7 @@ from ...framework.faults import FaultPlan
 from ...framework.parallel import fork_available
 from ...framework.supervise import SupervisionLog, backoff_delay
 from ...obs import collect as obs
-from ..runtime import ShardTask, build_shard, build_stream
+from ..runtime import ShardTask, build_stream, open_session
 from ..server import ServingSession
 from .framing import FramedConn, NetFaultFilter
 from .replicate import replica_slice
@@ -606,20 +606,17 @@ class Router:
         """Serve a passthrough route's admitted batches in-process;
         returns whether it served or delivered anything.
 
-        The first call builds the shard and opens a session resuming
-        from the route's latest checkpoint (the same parity path as a
-        worker).  Every call serves the batches admitted since and acks
-        them, and the call that reaches ``route.total`` delivers the
-        report.  A route opened with an explicit batch list (drive mode)
+        The first call opens a session resuming from the route's latest
+        checkpoint, or on a freshly built shard when there is none (the
+        same parity path as a worker).  Every call serves the batches
+        admitted since and acks them, and the call that reaches
+        ``route.total`` delivers the report.  A route opened with an explicit batch list (drive mode)
         serves exactly those batches — a replica's slice, not the full
         stream — in one call.
         """
         session = route.session
         if session is None:
-            server, stream = build_shard(route.task)
-            session = route.session = ServingSession(
-                server, stream, resume=route.ckpt
-            )
+            session = route.session = open_session(route.task, route.ckpt)
         start = session.cursor
         for bi in range(start, len(route.batches)):
             session.process(bi, route.batches[bi])

@@ -6,9 +6,10 @@ One worker may host several shard sessions (shard id → fitted
 :class:`~repro.serve.server.ServingSession`).  The router drives it
 with three RPCs over one framed socket:
 
-* ``resume``   — build the shard (models fit here, not in the router)
-  and open a session, resuming from a piggybacked checkpoint when the
-  router holds one; replies ``resume_ok`` with the session cursor.
+* ``resume``   — open a shard session: from a piggybacked checkpoint
+  when the router holds one (it carries the models, so only the stream
+  is built), else on a freshly built shard (models fit here, not in
+  the router); replies ``resume_ok`` with the session cursor.
 * ``batch``    — serve a group of consecutive micro-batches (the
   router coalesces its send window into group frames; ``items`` holds
   the group, ``bi`` the first index).  Acks are *cumulative* and
@@ -50,31 +51,31 @@ import selectors
 from ...framework.faults import FaultPlan
 from ...framework.supervise import WorkerContext
 from ...obs import collect as obs
-from ..runtime import ShardTask, build_shard
-from ..server import ServingSession
+from ..runtime import ShardTask, open_session
 
 __all__ = ["ShardHost", "worker_main"]
 
 
 class ShardHost:
-    """One hosted shard: its session, fault context and unsent checkpoint."""
+    """One hosted shard: its session, fault context and unsent checkpoint.
+
+    Startup faults fire before the session opens.  A host resumed from
+    ``ckpt`` takes its models from the checkpoint and fits none.
+    """
 
     __slots__ = ("session", "ctx", "attempt", "pending_ckpt")
 
     def __init__(self, task: ShardTask, attempt: int, ckpt,
                  plan: FaultPlan | None) -> None:
-        server, stream = build_shard(task)
         self.attempt = attempt
         self.pending_ckpt = None
         faults = plan.process_faults_for(task.shard_id, attempt) if plan else ()
         self.ctx = WorkerContext(task.shard_id, attempt, faults=faults)
         self.ctx.fire_startup_faults()
-        self.session = ServingSession(
-            server,
-            stream,
+        self.session = open_session(
+            task, ckpt,
             checkpoint_every=task.checkpoint_every,
             checkpoint_sink=self._sink,
-            resume=ckpt,
         )
 
     def _sink(self, ckpt) -> None:

@@ -44,10 +44,13 @@ from ..sched import FIFOScheduler
 from ..sim import Simulator, running_nodes_series
 from ..stats.timeseries import TimeGrid
 from ..traces import SECONDS_PER_DAY, slice_period
-from .server import PredictionServer, ServeConfig, ShardReport
+from .server import (
+    PredictionServer, ServeConfig, ServingSession, ShardCheckpoint, ShardReport,
+)
 from .stream import EventStream, approx_node_demand
 
-__all__ = ["ShardTask", "build_shard", "build_stream", "run_shard", "serve_clusters"]
+__all__ = ["ShardTask", "build_shard", "build_stream", "open_session", "run_shard",
+           "serve_clusters"]
 
 _SOURCES = ("trace", "replay")
 
@@ -156,6 +159,19 @@ def build_stream(task: ShardTask) -> EventStream:
     return _trace_stream(
         task, gpu, hist_start, eval_start, stream_end, total_nodes
     )[1]
+
+
+def open_session(
+    task: ShardTask, resume: ShardCheckpoint | None, **kwargs
+) -> ServingSession:
+    """Open a :class:`ServingSession` (``kwargs`` go to it) on a shard
+    from :func:`build_shard`, or, resuming, on a bare server and the
+    stream alone: the checkpoint carries the models, so nothing is fit."""
+    if resume is None:
+        server, stream = build_shard(task)
+    else:
+        server, stream = PredictionServer(task.config), build_stream(task)
+    return ServingSession(server, stream, resume=resume, **kwargs)
 
 
 def _trace_stream(

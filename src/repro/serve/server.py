@@ -21,23 +21,27 @@ long-running loop.  Requests are routed through the
   disagree.
 
 Between requests the :class:`~repro.framework.engine.ModelUpdateEngine`
-ingests finished jobs and node samples; with ``online_updates`` on, the
-incremental refit path advances models in place (the forecasters'
-``update()``/``extend()`` protocol) while scratch refits remain the
-fallback and correctness oracle.  ``online_updates=False`` freezes the
-models — the mode the online/batch parity tests run in.
+hands finished jobs and node samples to the services, which keep what
+their refreshes need, and decides when each refreshes; with
+``online_updates`` on, the incremental refit path advances models in
+place (the forecasters' ``update()``/``extend()`` protocol) while
+scratch refits remain the fallback and correctness oracle.  The engine
+installs the services in the orchestrator, the one registry.
+``online_updates=False`` freezes the models — the mode the online/batch
+parity tests run in.
 
 Fault tolerance (two independent planes):
 
 * **Crash recovery** — ``run(..., checkpoint_every=K,
   checkpoint_sink=sink)`` emits a :class:`ShardCheckpoint` every K
-  micro-batches: the batch cursor plus the server's attributes
-  (orchestrator, update engine, demand series, DRS controller, ladder
-  position) and the loop state (counters, decision digests), pickled
-  as they are.  A fresh server resumed via ``run(..., resume=ckpt)``
-  replays the remaining batches and produces a report whose
-  :meth:`ShardReport.parity_dict` is byte-identical to a never-failed
-  run — the crash-recovery parity guarantee the chaos tests enforce.
+  micro-batches: the batch cursor plus the server's attributes (update
+  engine with its orchestrator and services, demand series, DRS
+  controller, ladder position) and the loop state (counters, decision
+  digests), pickled as they are.  A bare server resumed via ``run(...,
+  resume=ckpt)`` replays the remaining batches and produces a report
+  whose :meth:`ShardReport.parity_dict` is byte-identical to a
+  never-failed run — the crash-recovery parity guarantee the chaos
+  tests enforce.
 * **Graceful degradation** — a *model* failure (a refit or forecast
   raising mid-stream) must not kill the shard.  QSSF failures step a
   one-rung-at-a-time ladder: incremental refits → scratch refits →
@@ -291,35 +295,6 @@ class _GrowingSeries:
         return self._c1[: self.n + 1], self._c2[: self.n + 1]
 
 
-class _AppendRows:
-    """Module-level (hence picklable) QSSF history builder: the fitted
-    history table plus every finished job observed since."""
-
-    def __init__(self, history: Table) -> None:
-        self.history = history
-
-    def __call__(self, rows: list[dict]) -> Table:
-        return Table.concat([self.history, Table.from_rows(rows)])
-
-
-def _rows_table(rows: list[dict]) -> Table:
-    return Table.from_rows(rows)
-
-
-class _AppendSamples:
-    """Picklable CES series builder: training window + streamed samples."""
-
-    def __init__(self, history: np.ndarray) -> None:
-        self.history = history
-
-    def __call__(self, samples: list[float]) -> np.ndarray:
-        return np.concatenate([self.history, np.asarray(samples, dtype=float)])
-
-
-def _sample_array(samples: list[float]) -> np.ndarray:
-    return np.asarray(samples, dtype=float)
-
-
 def encode_decisions(ordered: list[tuple[str, tuple[str, ...]]]) -> bytes:
     """Canonical byte encoding of one submit batch's queue decisions.
 
@@ -354,18 +329,21 @@ def _fresh_loop_state() -> dict[str, Any]:
 
 
 class PredictionServer:
-    """One shard's serving runtime: orchestrator + update engine + loop."""
+    """One shard's serving runtime: update engine + orchestrator + loop.
+
+    The engine installs the services in its orchestrator, which
+    :attr:`orchestrator` names; a bare server (no ``install_*`` call
+    yet) is what a checkpoint restores into.
+    """
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
-        self.orchestrator = ResourceOrchestrator()
         self.engine = ModelUpdateEngine(
             UpdatePolicy(
                 interval_seconds=self.config.update_interval_s,
                 max_buffered=self.config.update_max_buffered,
             ),
         )
-        self._qssf_history: Table | None = None
         self._ces_series: _GrowingSeries | None = None
         self._ces_controller: DRSController | None = None
         self._vc_decisions = 0
@@ -374,6 +352,11 @@ class PredictionServer:
         self._ces_degraded = False
         #: degradation telemetry, copied into the shard report
         self.degraded: dict[str, int] = {}
+
+    @property
+    def orchestrator(self) -> ResourceOrchestrator:
+        """The registry every decision is dispatched through."""
+        return self.engine.orchestrator
 
     # -- installation --------------------------------------------------
 
@@ -393,14 +376,7 @@ class PredictionServer:
             gbdt_params=cfg.qssf_gbdt,
             refit_mode=cfg.qssf_refit_mode,
         ).fit(history)
-        self._qssf_history = history
-        self.engine.register(
-            service,
-            _AppendRows(history),
-            update_builder=_rows_table,
-            prefitted=True,
-        )
-        self.orchestrator.replace(service)
+        self.engine.register(service, prefitted=True)
         return service
 
     def install_ces(self, demand_history: np.ndarray, total_nodes: int) -> CESNodeService:
@@ -418,13 +394,7 @@ class PredictionServer:
             features=cfg.ces_features,
             gbdt_params=cfg.ces_gbdt,
         ).fit(history)
-        self.engine.register(
-            service,
-            _AppendSamples(history),
-            update_builder=_sample_array,
-            prefitted=True,
-        )
-        self.orchestrator.replace(service)
+        self.engine.register(service, prefitted=True)
         self._ces_series = _GrowingSeries(history)
         self._ces_controller = DRSController(
             total_nodes, DRSParams.scaled(total_nodes, cfg.bin_seconds)
@@ -472,24 +442,18 @@ class PredictionServer:
             elif rung == 2:
                 # Model refits implicated: rolling-only estimator (lam=1
                 # never consults the GBDT), scratch-fit on the original
-                # training window.
-                svc = QSSFService(lam=1.0, refit_mode="scratch")
-                if self._qssf_history is not None:
-                    svc.fit(self._qssf_history)
-                    self.engine.swap("qssf", svc, prefitted=True)
-                else:
-                    self.engine.swap("qssf", svc, prefitted=False)
-                self.orchestrator.replace(svc)
+                # training window; its scratch refits train on the same
+                # rows the old service's would have.
+                old = self.orchestrator.service("qssf")
+                svc = QSSFService(lam=1.0, refit_mode="scratch").fit(old.history)
+                svc.observed = old.observed
+                self.engine.swap("qssf", svc)
             else:
                 rung = len(QSSF_LADDER) - 1
-                svc = PassthroughQueueService()
-                self.engine.swap("qssf", svc, prefitted=True)
-                self.orchestrator.replace(svc)
+                self.engine.swap("qssf", PassthroughQueueService())
         except Exception:
             rung = len(QSSF_LADDER) - 1
-            svc = PassthroughQueueService()
-            self.engine.swap("qssf", svc, prefitted=True)
-            self.orchestrator.replace(svc)
+            self.engine.swap("qssf", PassthroughQueueService())
         self._qssf_rung = rung
         self.degraded["qssf_rung"] = rung
         obs.counter_add("serve.degrade.qssf_transitions")
@@ -792,8 +756,9 @@ class ServingSession:
                         )
                     except Exception:
                         # A failed refit leaves the engine's pending
-                        # buffer intact; step the ladder one rung and
-                        # let the next observation retry at it.
+                        # count and the service's rows intact; step the
+                        # ladder one rung and let the next observation
+                        # retry at it.
                         server._count_degraded("refit_failures")
                         server._degrade_qssf()
         elif batch.kind == NODE_FAIL:

@@ -18,7 +18,16 @@ from repro.framework import (
     SupervisionLog,
     fork_available,
 )
-from repro.serve import NetConfig, ShardTask, build_shard, serve_clusters_net
+from repro.serve import (
+    NetConfig,
+    PredictionServer,
+    ServeConfig,
+    ShardTask,
+    build_shard,
+    serve_clusters_net,
+)
+
+from helpers import make_trace
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
@@ -166,7 +175,7 @@ class TestDegradationLadder:
 
     def test_refit_failure_degrades_not_crashes(self, monkeypatch):
         """A raising incremental refit mid-stream downgrades the service
-        instead of killing the shard; the pending buffer survives so the
+        instead of killing the shard; the pending count survives so the
         next observation retries at the new rung."""
         cfg = _config(
             lam=0.5,
@@ -179,11 +188,11 @@ class TestDegradationLadder:
         calls = {"n": 0}
         orig = QSSFService.apply_update
 
-        def flaky_update(self, update):
+        def flaky_update(self):
             if calls["n"] < 1:
                 calls["n"] += 1
                 raise RuntimeError("injected refit failure")
-            return orig(self, update)
+            return orig(self)
 
         monkeypatch.setattr(QSSFService, "apply_update", flaky_update)
         report = server.run(stream)
@@ -192,6 +201,44 @@ class TestDegradationLadder:
         assert report.events > 0
         # scratch refits took over after the rung step
         assert report.refits["qssf"]["refits"] > 0
+
+    def test_rolling_only_rung_refits_on_window_and_every_observed_job(
+            self, monkeypatch):
+        """Rung 2's scratch refit trains on the training window plus
+        every finished job, those observed before the swap included."""
+        from repro.frame import Table
+        from repro.framework import plugins
+
+        history = make_trace(
+            [(i * 60, 1 + i % 4, 30.0 + 10.0 * (i % 5)) for i in range(60)]
+        )
+        finished = make_trace(
+            [(4_000 + i * 60, 1 + i % 3, 21.0 + 7.0 * i) for i in range(9)]
+        )
+        rows = [finished.row(i) for i in range(len(finished))]
+        server = PredictionServer(ServeConfig(lam=1.0, update_interval_s=1e9))
+        server.install_qssf(history)
+        for row in rows[:6]:
+            server.engine.observe("qssf", row, now=0.0)
+        server._degrade_qssf()
+        server._degrade_qssf()
+        assert server._qssf_rung == 2
+        for row in rows[6:]:
+            server.engine.observe("qssf", row, now=0.0)
+
+        trained = []
+        real = plugins.QSSFScheduler
+
+        def recording(table, **kwargs):
+            trained.append(table)
+            return real(table, **kwargs)
+
+        monkeypatch.setattr(plugins, "QSSFScheduler", recording)
+        assert server.engine.refit("qssf", now=1.0) == "scratch"
+        want = Table.concat([history, Table.from_rows(rows)])
+        assert len(trained) == 1
+        assert np.array_equal(trained[0]["duration"], want["duration"])
+        assert np.array_equal(trained[0]["submit_time"], want["submit_time"])
 
     def test_ces_failure_degrades_to_always_on(self, task, baseline):
         server, stream = build_shard(task)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
+from repro.experiments import SPECS, experiment_ids, run_experiment
 from repro.experiments.runner import main as runner_main
 
 
@@ -22,7 +22,7 @@ class TestRegistry:
         assert set(experiment_ids()) == EXPECTED_IDS
 
     def test_all_callables(self):
-        assert all(callable(fn) for fn in EXPERIMENTS.values())
+        assert all(callable(spec.fn) for spec in SPECS.values())
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError, match="unknown experiment"):

@@ -18,11 +18,14 @@ from repro.traces import HeliosTraceGenerator, SynthParams, is_gpu_job
 
 
 class CountingService(PredictionService):
-    """Trivial service for engine/orchestrator mechanics."""
+    """Trivial service for engine/orchestrator mechanics: its fit history
+    is ``base``, and a scratch refit trains on ``base`` plus every
+    observation."""
 
     service_name = "counter"
 
-    def __init__(self):
+    def __init__(self, base=()):
+        self.base = list(base)
         self.fit_calls = 0
         self.observed = []
 
@@ -30,6 +33,9 @@ class CountingService(PredictionService):
         self.fit_calls += 1
         self.last_history = history
         return self
+
+    def refit(self):
+        return self.fit(self.base + self.observed)
 
     def predict(self, request):
         return len(self.observed)
@@ -42,17 +48,24 @@ class CountingService(PredictionService):
 
 
 class IncrementalService(CountingService):
-    """Counting service that also supports the incremental refit path."""
+    """Counting service that also supports the incremental refit path:
+    an update consumes the observations no refit has seen yet."""
 
     service_name = "incr"
     supports_incremental = True
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, base=()):
+        super().__init__(base)
         self.update_calls = []
+        self.consumed = 0
 
-    def apply_update(self, new_history):
-        self.update_calls.append(new_history)
+    def refit(self):
+        self.consumed = len(self.observed)
+        return super().refit()
+
+    def apply_update(self):
+        self.update_calls.append(self.observed[self.consumed:])
+        self.consumed = len(self.observed)
         return self
 
 
@@ -60,7 +73,7 @@ class TestModelUpdateEngine:
     def test_register_and_refit_on_time(self):
         eng = ModelUpdateEngine(UpdatePolicy(interval_seconds=100))
         svc = CountingService()
-        eng.register(svc, history_builder=list)
+        eng.register(svc)
         eng.observe("counter", {"x": 1}, now=10.0)
         assert svc.fit_calls == 0
         eng.observe("counter", {"x": 2}, now=150.0)
@@ -70,25 +83,44 @@ class TestModelUpdateEngine:
     def test_refit_on_buffer_size(self):
         eng = ModelUpdateEngine(UpdatePolicy(interval_seconds=1e9, max_buffered=3))
         svc = CountingService()
-        eng.register(svc, list)
+        eng.register(svc)
         for i in range(3):
             eng.observe("counter", i, now=float(i))
         assert svc.fit_calls == 1
 
     def test_duplicate_registration(self):
         eng = ModelUpdateEngine()
-        eng.register(CountingService(), list)
+        eng.register(CountingService())
         with pytest.raises(ValueError):
-            eng.register(CountingService(), list)
+            eng.register(CountingService())
 
     def test_unknown_service(self):
         with pytest.raises(KeyError):
             ModelUpdateEngine().refit("nope", 0.0)
 
+    def test_register_and_swap_install_in_the_orchestrator(self):
+        """The engine's orchestrator is the one registry: ``register``
+        installs a service there and ``swap`` replaces it, keeping the
+        refit clock."""
+        eng = ModelUpdateEngine()
+        old, new = CountingService(), CountingService()
+        eng.register(old)
+        assert eng.orchestrator.service("counter") is old
+        eng.observe("counter", "a", now=1.0)
+        eng.swap("counter", new)
+        assert eng.orchestrator.service("counter") is new
+        assert eng.pending_count("counter") == 1
+        eng.observe("counter", "b", now=2.0)
+        assert old.observed == ["a"] and new.observed == ["b"]
+        assert eng.refit("counter", now=3.0) == "scratch"
+        assert old.fit_calls == 0 and new.last_history == ["b"]
+        with pytest.raises(ValueError):
+            eng.swap("counter", IncrementalService())
+
     def test_refit_empty_buffer_noop(self):
         eng = ModelUpdateEngine()
         svc = CountingService()
-        eng.register(svc, list)
+        eng.register(svc)
         eng.refit("counter", 5.0)
         assert svc.fit_calls == 0
 
@@ -103,7 +135,7 @@ class TestIncrementalRefit:
     def test_auto_mode_prefers_incremental_once_fitted(self):
         eng = ModelUpdateEngine(UpdatePolicy(interval_seconds=1e9))
         svc = IncrementalService()
-        eng.register(svc, list)
+        eng.register(svc)
         eng.observe("incr", "a", now=1.0)
         # first refit: no model yet -> scratch, on the full history
         assert eng.refit("incr", now=2.0) == "scratch"
@@ -117,33 +149,35 @@ class TestIncrementalRefit:
         assert eng.refit_count("incr") == 2
         assert eng.incremental_refit_count("incr") == 1
 
-    def test_update_builder_shapes_the_delta(self):
-        """The incremental path uses update_builder (new events only),
-        never the scratch builder (which may fold in base history)."""
+    def test_incremental_consumes_new_rows_scratch_trains_on_all(self):
+        """The incremental path consumes only the observations since the
+        last refresh, never the fit history; the scratch path trains on
+        the fit history plus every observation."""
         eng = ModelUpdateEngine()
-        svc, scratch = IncrementalService(), CountingService()
         base = ["h1", "h2"]
+        svc, scratch = IncrementalService(base), CountingService(base)
         for service in (svc, scratch):
-            eng.register(
-                service,
-                history_builder=lambda rows: base + rows,
-                update_builder=lambda rows: rows,
-                prefitted=True,
-            )
+            eng.register(service, prefitted=True)
         eng.observe("incr", "a", now=1.0)
         assert eng.refit("incr", now=2.0) == "incremental"
-        assert svc.update_calls == [["a"]]  # delta only, no base history
+        eng.observe("incr", "b", now=3.0)
+        assert eng.refit("incr", now=4.0) == "incremental"
+        assert svc.update_calls == [["a"], ["b"]]  # new rows only, no base
+        assert svc.fit_calls == 0
         # A service without the incremental path refits from scratch on
-        # the base-folding builder, over every observation.
+        # its fit history plus every observation.
         eng.observe("counter", "a", now=1.0)
         eng.observe("counter", "b", now=3.0)
         assert eng.refit("counter", now=4.0) == "scratch"
         assert scratch.last_history == ["h1", "h2", "a", "b"]  # scratch: full
+        eng.observe("counter", "c", now=5.0)
+        assert eng.refit("counter", now=6.0) == "scratch"
+        assert scratch.last_history == ["h1", "h2", "a", "b", "c"]
 
     def test_prefitted_service_goes_incremental_immediately(self):
         eng = ModelUpdateEngine()
         svc = IncrementalService()
-        eng.register(svc, list, prefitted=True)
+        eng.register(svc, prefitted=True)
         eng.observe("incr", "a", now=1.0)
         assert eng.refit("incr", now=2.0) == "incremental"
         assert svc.fit_calls == 0 and svc.update_calls == [["a"]]
@@ -151,19 +185,19 @@ class TestIncrementalRefit:
     def test_unsupported_service_falls_back_to_scratch(self):
         eng = ModelUpdateEngine()
         svc = CountingService()
-        eng.register(svc, list, prefitted=True)
+        eng.register(svc, prefitted=True)
         eng.observe("counter", "a", now=1.0)
         assert eng.refit("counter", now=2.0) == "scratch"
         assert svc.fit_calls == 1
 
     def test_default_apply_update_raises(self):
         with pytest.raises(NotImplementedError):
-            CountingService().apply_update(["x"])
+            CountingService().apply_update()
 
     def test_refit_clears_pending_only(self):
         eng = ModelUpdateEngine(UpdatePolicy(interval_seconds=1e9, max_buffered=2))
         svc = CountingService()
-        eng.register(svc, list)
+        eng.register(svc)
         eng.observe("counter", 1, now=0.0)
         eng.observe("counter", 2, now=0.0)  # buffer trigger
         assert svc.fit_calls == 1 and eng.pending_count("counter") == 0
@@ -175,7 +209,7 @@ class TestIncrementalRefit:
     def test_reset_clock(self):
         eng = ModelUpdateEngine(UpdatePolicy(interval_seconds=100))
         svc = CountingService()
-        eng.register(svc, list)
+        eng.register(svc)
         eng.reset_clock(1_000_000.0)
         eng.observe("counter", "a", now=1_000_050.0)
         assert svc.fit_calls == 0  # not overdue relative to the anchor
@@ -336,28 +370,39 @@ class TestCESNodeService:
         samples = [40.0, 41.0, 42.0]
         for v in samples:
             svc.observe(v)
-        # the engine hands back the same samples it routed through
-        # observe(); they must not be ingested twice
-        svc.apply_update(np.asarray(samples))
+        # the samples arrived through observe(); the flush must not
+        # ingest them twice
+        svc.apply_update()
         assert len(svc.history) == 2500 + 3
+        assert np.array_equal(svc.history[-3:], samples)
         assert svc.updates_applied == 1
 
-    def test_apply_update_never_ingests_argument(self):
+    def test_apply_update_after_flush_does_not_double_count(self):
         """Regression: a refit landing right after an update_every flush
-        (empty pending) must not re-ingest the engine-built delta —
-        that silently corrupted the demand series."""
+        (empty pending) must not re-ingest the flushed samples — that
+        silently corrupted the demand series."""
         svc = CESNodeService(update_every=4).fit(self._series())
         samples = [40.0, 41.0, 42.0, 43.0]
         for v in samples:
             svc.observe(v)  # 4th sample auto-flushes: pending now empty
         assert svc.updates_applied == 1
-        svc.apply_update(np.asarray(samples))  # engine refit, same delta
+        svc.apply_update()  # engine refit after the flush
         assert len(svc.history) == 2500 + 4  # no duplication
         assert svc.updates_applied == 1  # nothing pending: no-op
 
     def test_apply_update_requires_fit(self):
         with pytest.raises(RuntimeError):
-            CESNodeService().apply_update(np.zeros(3))
+            CESNodeService().apply_update()
+
+    def test_refit_trains_on_the_whole_series(self):
+        svc = CESNodeService(update_every=1_000).fit(self._series())
+        before = svc.forecaster
+        for v in (40.0, 41.0):
+            svc.observe(v)
+        svc.refit()
+        assert svc.forecaster is not before  # a fresh fit, not an extend
+        assert len(svc.history) == 2500 + 2
+        assert svc.forecaster._train_end == len(svc.history) - svc.horizon_bins
 
     def test_update_every_validation(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ from repro.framework import (
     ResourceOrchestrator,
     UpdatePolicy,
 )
-from repro.frame import Table
 from repro.ml import GBDTParams
 from repro.sched import (
     FIFOScheduler,
@@ -124,24 +123,29 @@ class TestFullPipeline:
         assert outcome.total_nodes == replay.num_nodes
 
     def test_model_update_engine_with_qssf(self, pipeline):
-        """The engine refits QSSF from buffered finished-job events."""
+        """The engine refits QSSF on the finished jobs it observed."""
         _, _, gpu, _ = pipeline
-
-        def build_history(events) -> Table:
-            return Table.concat([e for e in events])
-
-        engine = ModelUpdateEngine(UpdatePolicy(interval_seconds=MONTH))
-        svc = QSSFService(lam=1.0)
-        engine.register(svc, build_history)
-        # feed two monthly batches: the second one triggers a refit
         first = gpu.filter(gpu["submit_time"] < MONTH)
         second = gpu.filter(
             (gpu["submit_time"] >= MONTH) & (gpu["submit_time"] < 2 * MONTH)
         )
-        engine.observe("qssf", first.select(*first.columns), now=0.0)
-        engine.observe("qssf", second.select(*second.columns), now=float(MONTH + 1))
-        assert engine.refit_count("qssf") >= 1
-        assert svc.scheduler is not None
+        engine = ModelUpdateEngine(UpdatePolicy(interval_seconds=MONTH))
+        svc = QSSFService(lam=1.0).fit(first)
+        engine.register(svc)
+        assert engine.orchestrator.service("qssf") is svc
+        fitted = svc.scheduler
+        engine.reset_clock(float(MONTH))
+        rows = [second.row(i) for i in range(len(second))]
+        for row in rows[:-1]:
+            engine.observe("qssf", row, now=float(MONTH))
+        assert engine.refit_count("qssf") == 0  # within the interval
+        # the last of month 2's jobs lands a month on: a scratch refit
+        # on month 1 plus every job of month 2
+        engine.observe("qssf", rows[-1], now=float(2 * MONTH))
+        assert engine.refit_count("qssf") == 1
+        assert engine.incremental_refit_count("qssf") == 0
+        assert svc.scheduler is not fitted
+        assert svc.scheduler.rolling._global[1] == len(first) + len(second)
         pred = svc.predict(gpu.head(5))
         assert pred.shape == (5,)
 

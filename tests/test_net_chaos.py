@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 import repro
 from repro.framework import FaultPlan, FaultSpec, WorkerContext, fork_available
 from repro.obs import collect as obs
+from repro.sched.qssf import QSSFScheduler
 from repro.serve import (
     NetConfig,
     ShardTask,
@@ -1130,6 +1131,38 @@ class TestWorkerLink:
         elapsed = time.monotonic() - t0
         assert served == []
         assert elapsed < 0.5, elapsed
+
+
+class TestShardHost:
+    def test_resumed_host_takes_its_models_from_the_checkpoint(
+            self, monkeypatch, baseline):
+        """A host started fresh fits its QSSF model; one resumed from a
+        checkpoint fits none, and serves on to the same parity."""
+        built = []
+        init = QSSFScheduler.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(QSSFScheduler, "__init__", counting_init)
+        task = _task("Venus")
+        fresh = worker_mod.ShardHost(task, 0, None, None)
+        assert len(built) == 1
+        batches = list(fresh.session.stream.batches(task.config.batch_window_s))
+        for bi, batch in enumerate(batches[:task.checkpoint_every]):
+            fresh.session.process(bi, batch)
+        ckpt = fresh.take_ckpt()
+        assert ckpt.cursor == task.checkpoint_every
+
+        built.clear()
+        resumed = worker_mod.ShardHost(task, 1, ckpt, None)
+        assert built == []
+        assert resumed.session.cursor == task.checkpoint_every
+        for bi, batch in enumerate(batches):
+            resumed.session.process(bi, batch)
+        report = resumed.session.finish()
+        assert report.parity_bytes() == baseline[0].parity_bytes()
 
 
 _UNPICKLED: list = []

@@ -107,8 +107,10 @@ class TestQSSFServiceRefitModes:
         assert not QSSFService(refit_mode="scratch").supports_incremental
 
     def test_apply_update_requires_fit(self):
+        svc = QSSFService()
+        svc.observe(make_trace([(0, 1, 10.0)]).row(0))
         with pytest.raises(RuntimeError, match="not fitted"):
-            QSSFService().apply_update(make_trace([(0, 1, 10.0)]))
+            svc.apply_update()
 
     def test_apply_update_advances_gbdt_only(self):
         history = make_trace(
@@ -118,15 +120,40 @@ class TestQSSFServiceRefitModes:
             [(8000 + i * 60, 1 + (i % 4), 25.0 + 30.0 * (i % 3)) for i in range(30)]
         )
         svc = QSSFService(lam=0.5, gbdt_params=GBDT).fit(history)
+        for i in range(len(delta)):
+            svc.observe(delta.row(i))
         trees_before = len(svc.scheduler.ml.model.trees_)
-        svc.apply_update(delta)
-        assert len(svc.scheduler.ml.model.trees_) > trees_before
+        svc.apply_update()
+        trees_after = len(svc.scheduler.ml.model.trees_)
+        assert trees_after > trees_before
+        # the rows are consumed: a second update has nothing to boost on
+        svc.apply_update()
+        assert len(svc.scheduler.ml.model.trees_) == trees_after
+
+    def test_refit_trains_on_window_plus_observed_rows(self):
+        history = make_trace(
+            [(i * 60, 1 + (i % 4), 30.0 + 40.0 * (i % 5)) for i in range(120)]
+        )
+        delta = make_trace(
+            [(8000 + i * 60, 1 + (i % 4), 25.0 + 30.0 * (i % 3)) for i in range(30)]
+        )
+        svc = QSSFService(lam=0.5, gbdt_params=GBDT, refit_mode="scratch")
+        svc.fit(history)
+        for i in range(len(delta)):
+            svc.observe(delta.row(i))
+        svc.refit()
+        oracle = QSSFService(lam=0.5, gbdt_params=GBDT).fit(
+            Table.concat([history, delta])
+        )
+        assert np.array_equal(svc.predict(delta), oracle.predict(delta))
+        assert svc.history is history  # the window stays the window
 
     def test_apply_update_noop_at_lam_one(self):
         history = make_trace([(i * 60, 1, 30.0) for i in range(40)])
         svc = QSSFService(lam=1.0).fit(history)
         assert svc.scheduler.ml is None
-        svc.apply_update(make_trace([(0, 1, 10.0)]))  # must not raise
+        svc.observe(make_trace([(0, 1, 10.0)]).row(0))
+        svc.apply_update()  # must not raise
 
     def test_engine_incremental_matches_scratch_band(self, venus_prefix):
         """End-to-end band check through the service interface on a real
@@ -142,10 +169,9 @@ class TestQSSFServiceRefitModes:
         full = slice_period(venus_prefix, 0, 24 * SECONDS_PER_DAY)
 
         inc = QSSFService(lam=0.5, gbdt_params=GBDT).fit(head)
-        rows = [delta_tbl.row(i) for i in range(len(delta_tbl))]
-        for r in rows:  # the serving loop feeds finishes via observe()
-            inc.observe(r)
-        inc.apply_update(Table.from_rows(rows))
+        for i in range(len(delta_tbl)):  # the serving loop feeds finishes
+            inc.observe(delta_tbl.row(i))
+        inc.apply_update()
 
         scratch = QSSFService(lam=0.5, gbdt_params=GBDT,
                               refit_mode="scratch").fit(full)

@@ -30,7 +30,7 @@ _CES_FEATURES = ForecastFeatures(bin_seconds=600, lags=(1, 2, 3, 6), windows=(3,
 _CES_GBDT = GBDTParams(n_estimators=30, max_depth=4, min_samples_leaf=5)
 
 
-def _qssf_history():
+def _train_history():
     rows = [(i * 60, 1 + (i % 4) * 2, 30.0 + 50.0 * (i % 7)) for i in range(80)]
     return make_trace(rows)
 
@@ -91,7 +91,7 @@ def _batch_qssf_orderings(scheduler, window, stream, window_s):
 
 class TestQSSFParity:
     def test_orderings_byte_identical_to_batch(self):
-        history = _qssf_history()
+        history = _train_history()
         window = _qssf_window()
         server = PredictionServer(_frozen_config())
         server.install_qssf(history)
@@ -107,7 +107,7 @@ class TestQSSFParity:
         """lam=0.5 exercises the ML estimator too: per-row features are
         row-independent, so batch-vs-batched predictions stay equal."""
         gbdt = GBDTParams(n_estimators=40, max_depth=4, min_samples_leaf=5)
-        history = _qssf_history()
+        history = _train_history()
         window = _qssf_window()
         server = PredictionServer(_frozen_config(lam=0.5, qssf_gbdt=gbdt))
         server.install_qssf(history)
@@ -120,7 +120,7 @@ class TestQSSFParity:
         )
 
     def test_frozen_runs_are_deterministic(self):
-        history = _qssf_history()
+        history = _train_history()
         window = _qssf_window()
         digests = []
         for _ in range(2):
@@ -204,7 +204,7 @@ class TestOnlineUpdates:
         series = _demand_series(360)
         window = _qssf_window()
         server = PredictionServer(cfg)
-        server.install_qssf(_qssf_history())
+        server.install_qssf(_train_history())
         server.install_ces(series[:300], total_nodes)
         stream = EventStream.from_trace(
             window,
@@ -243,7 +243,7 @@ class TestOnlineUpdates:
             [(i * 800, 1 + (i % 4), 120.0, f"vc{i % 2}") for i in range(40)]
         )
         server = PredictionServer(cfg)
-        server.install_qssf(_qssf_history())
+        server.install_qssf(_train_history())
         server.install_ces(series[:300], 64)
         stream = EventStream.from_trace(
             window, "T", t0=0.0, t1=60 * 600.0, bin_seconds=600,
@@ -268,7 +268,7 @@ class TestOnlineUpdates:
             [(i * 800, 1 + (i % 4), 120.0, f"vc{i % 2}") for i in range(40)]
         )
         server = PredictionServer(cfg)
-        server.install_qssf(_qssf_history())
+        server.install_qssf(_train_history())
         server.install_ces(series[:300], 64)
         stream = EventStream.from_trace(
             window, "T", t0=0.0, t1=60 * 600.0, bin_seconds=600,
@@ -315,7 +315,7 @@ class TestRoutes:
     def test_duration_prediction_route(self):
         cfg = _frozen_config(predict_durations=True)
         server = PredictionServer(cfg)
-        server.install_qssf(_qssf_history())
+        server.install_qssf(_train_history())
         window = _qssf_window(12)
         stream = EventStream.from_trace(window, "T", t0=0.0, t1=90.0 * 13)
         report = server.run(stream, window_s=300.0)
@@ -323,7 +323,7 @@ class TestRoutes:
 
     def test_node_samples_require_ces(self):
         server = PredictionServer(_frozen_config())
-        server.install_qssf(_qssf_history())
+        server.install_qssf(_train_history())
         stream = EventStream.from_trace(
             make_trace([]), "T", t0=0.0, t1=3_000.0, bin_seconds=600,
             demand=np.zeros(5),
@@ -333,7 +333,7 @@ class TestRoutes:
 
     def test_latency_and_throughput_reported(self):
         server = PredictionServer(_frozen_config())
-        server.install_qssf(_qssf_history())
+        server.install_qssf(_train_history())
         window = _qssf_window()
         stream = EventStream.from_trace(window, "T", t0=0.0, t1=90.0 * 50)
         report = server.run(stream, window_s=300.0)
