@@ -15,20 +15,28 @@ driving the fused single-``bincount`` split search;
 produce byte-identical ensembles — the reference path is the oracle the
 parity tests and benchmarks compare against.
 
+Prediction walks every tree at once.  The model keeps its trees packed
+in one :class:`~repro.ml.tree.NodeTable` (``fit`` resets it, each
+boosting call extends it), so a predict is ``max_depth`` numpy steps
+over rows × trees plus one ordered sum, whatever the ensemble's size,
+and its floats equal those of adding the trees' predictions one by one.
+
 A model is plain state: it pickles with its continuation buffers (the
 binned training matrix, targets, running predictions and RNG), so an
 unpickled model predicts and continues boosting exactly as the original
-would.  Serving checkpoints rely on that.
+would.  Serving checkpoints rely on that.  The node table is derived
+from the trees, so pickles leave it out and unpickling rebuilds it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .tree import Binner, HistogramCache, RegressionTree, TreeParams
+from .tree import Binner, HistogramCache, NodeTable, RegressionTree, TreeParams
 
 __all__ = ["GBDTParams", "GBDTRegressor"]
 
@@ -91,6 +99,20 @@ class GBDTRegressor:
         self._y_train: np.ndarray | None = None
         self._pred_train: np.ndarray | None = None
         self._rng: np.random.Generator | None = None
+        # Derived from trees_, never pickled; set last, so a pickled
+        # state keeps the key order of the attributes above.
+        self._table = NodeTable()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_table"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Interned keys, as pickle's own restore gives them, so a model
+        # pickles to the same bytes after a round trip.
+        self.__dict__.update({sys.intern(k): v for k, v in state.items()})
+        self._table = NodeTable(self.trees_)
 
     # ------------------------------------------------------------------
     def fit(
@@ -121,6 +143,7 @@ class GBDTRegressor:
             pred_val = np.full(yv.shape[0], self.base_score_)
 
         self.trees_ = []
+        self._table = NodeTable()
         self.train_scores_ = []
         self.valid_scores_ = []
         best_val = np.inf
@@ -140,6 +163,7 @@ class GBDTRegressor:
                     and it - best_iter >= p.early_stopping_rounds
                 ):
                     break
+        self._table.extend(self.trees_)
         self.best_iteration_ = (
             best_iter if (eval_set is not None and self.valid_scores_) else None
         )
@@ -238,6 +262,7 @@ class GBDTRegressor:
         )
         for _ in range(n_more):
             next(stages)
+        self._table.extend(self.trees_[len(self._table):])
         return self
 
     # ------------------------------------------------------------------
@@ -262,14 +287,13 @@ class GBDTRegressor:
         return self._ensemble_sum(Xb, n_trees)
 
     def _ensemble_sum(self, Xb: np.ndarray, n_trees: int) -> np.ndarray:
-        """The first ``n_trees`` stages summed over binned rows: the one
+        """The first ``n_trees`` stages (``trees_[:n_trees]``) summed
+        over binned rows by one fused walk of the node table: the one
         ensemble walk behind :meth:`predict` and :meth:`fit_more`'s
         seeding of new rows."""
-        out = np.full(Xb.shape[0], self.base_score_)
-        lr = self.params.learning_rate
-        for tree in self.trees_[:n_trees]:
-            out += lr * tree.predict_binned(Xb)
-        return out
+        return self._table.sum(
+            Xb, n_trees, self.base_score_, self.params.learning_rate
+        )
 
     def staged_mse(self) -> list[float]:
         """Training MSE after each boosting stage (monotone check hook)."""

@@ -28,6 +28,9 @@ same cumulative sums and break gain ties identically (lowest feature,
 then lowest bin), so the grown trees are bit-for-bit identical.
 
 The tree is stored as flat arrays so prediction is a vectorized walk.
+An ensemble predicts through a :class:`NodeTable`: every tree's nodes
+packed into one table, which rows × trees walk together, one numpy step
+per depth level.
 """
 
 from __future__ import annotations
@@ -36,9 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Binner", "HistogramCache", "TreeParams", "RegressionTree"]
+__all__ = ["Binner", "HistogramCache", "NodeTable", "TreeParams", "RegressionTree"]
 
 _FIT_MODES = ("fast", "reference")
+
+#: most (row, tree) cells one block of a :meth:`NodeTable.sum` walks
+#: and holds at once: a 60k-row predict keeps the memory of a small one
+WALK_CELLS = 1 << 16
 
 
 class Binner:
@@ -84,19 +91,19 @@ class Binner:
         return self
 
     def transform(self, X: np.ndarray) -> np.ndarray:
+        """Bin ``X``: one ``searchsorted`` per feature (empty edges put
+        every value in bin 0), then one masked write of each feature's
+        missing bin over the matrix's NaNs.  A single ``searchsorted``
+        over offset edges would add float offsets to raw values, which
+        can move a value across an edge."""
         if self.edges_ is None:
             raise RuntimeError("Binner not fitted")
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape, dtype=np.int32)
         for j, edges in enumerate(self.edges_):
-            col = X[:, j]
-            if edges.size == 0:
-                out[:, j] = 0
-            else:
-                out[:, j] = np.searchsorted(edges, col, side="left")
-            nan = np.isnan(col)
-            if nan.any():
-                out[nan, j] = edges.size + 1
+            out[:, j] = np.searchsorted(edges, X[:, j], side="left")
+        missing = np.array([e.size + 1 for e in self.edges_], dtype=np.int32)
+        np.copyto(out, missing, where=np.isnan(X))
         return out
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
@@ -473,3 +480,88 @@ class RegressionTree:
         for nid, g in self.split_gains_.items():
             gains[t.feature[nid]] += g
         return gains
+
+
+class NodeTable:
+    """The nodes of a tree ensemble packed into one table.
+
+    Node ``i`` splits on column ``feature[i]``: a row whose bin is at
+    most ``threshold[i]`` moves to ``child[2 i]``, any other row to
+    ``child[2 i + 1]``.  A leaf is both of its own children (splitting
+    on feature 0), so a row that reached one stays there and every
+    (row, tree) cell can take the same ``depth`` steps.  ``roots[k]`` is
+    tree ``k``'s root; ``value`` holds the leaf values.
+
+    The table is derived from the trees: its GBDT extends it after each
+    boosting call and rebuilds it when unpickled, and never pickles it.
+    """
+
+    def __init__(self, trees=()) -> None:
+        self.feature = np.empty(0, np.intp)
+        self.threshold = np.empty(0, np.int32)
+        self.child = np.empty(0, np.intp)
+        self.value = np.empty(0, np.float64)
+        self.roots = np.empty(0, np.intp)
+        #: walk steps: the trees' deepest ``max_depth``, 0 while none splits
+        self.depth = 0
+        self.extend(trees)
+
+    def __len__(self) -> int:
+        return self.roots.size
+
+    def extend(self, trees) -> None:
+        """Append ``trees``' nodes, in order, after the table's."""
+        trees = list(trees)
+        if not trees:
+            return
+        flats = [tree._tree for tree in trees]
+        leaf, feature, threshold, left, right, value = (
+            np.concatenate(parts) for parts in zip(*(
+                (t.is_leaf, t.feature, t.threshold_bin, t.left, t.right, t.value)
+                for t in flats
+            ))
+        )
+        sizes = np.array([t.value.size for t in flats])
+        roots = self.value.size + np.cumsum(sizes) - sizes
+        ids = np.arange(self.value.size, self.value.size + leaf.size)
+        pairs = np.stack([left, right], axis=1) + np.repeat(roots, sizes)[:, None]
+        child = np.where(leaf[:, None], ids[:, None], pairs)
+        self.feature = np.concatenate([self.feature, np.where(leaf, 0, feature)])
+        self.threshold = np.concatenate([self.threshold, threshold])
+        self.child = np.concatenate([self.child, child.ravel()])
+        self.value = np.concatenate([self.value, value])
+        self.roots = np.concatenate([self.roots, roots])
+        if not leaf.all():
+            self.depth = max([self.depth] + [t.params.max_depth for t in trees])
+
+    def sum(self, X_binned: np.ndarray, n_trees: int, base: float,
+            scale: float) -> np.ndarray:
+        """``base`` plus ``scale`` times each of the first ``n_trees``
+        trees' leaf values (the slice ``roots[:n_trees]``), added tree
+        by tree in order, so the floats equal those of a loop that adds
+        one tree's predictions at a time.
+
+        Rows go through in blocks of at most :data:`WALK_CELLS` (row,
+        tree) cells.  A block walks ``depth`` steps, then sums its
+        ``(n_trees + 1, rows)`` buffer, whose first row is ``base``,
+        with one ``np.add.accumulate``.
+        """
+        X_binned = np.ascontiguousarray(X_binned)
+        rows, m = X_binned.shape
+        flat = X_binned.ravel()
+        roots = self.roots[:n_trees]
+        out = np.empty(rows)
+        block = max(1, WALK_CELLS // max(roots.size, 1))
+        for lo in range(0, rows, block):
+            hi = min(rows, lo + block)
+            cells = np.arange(lo, hi) * m
+            node = np.repeat(roots[:, None], hi - lo, axis=1)
+            for _ in range(self.depth):
+                right = flat[self.feature[node] + cells] > self.threshold[node]
+                node = self.child[2 * node + right]
+            buf = np.empty((roots.size + 1, hi - lo))
+            buf[0] = base
+            np.multiply(self.value[node], scale, out=buf[1:])
+            np.add.accumulate(buf, axis=0, out=buf)
+            out[lo:hi] = buf[-1]
+        return out

@@ -45,8 +45,14 @@ fork there is no worker process, so a plan's process faults (crash,
 hang, ...) do not fire in the passthrough.
 
 The drive loop and the listen-mode front door block only in
-:meth:`Router.wait`.  A worker blocks on its link and exits on EOF:
-when :meth:`Router.shutdown` closes the link, or when the router dies.
+:meth:`Router.wait`, on the router's one selector: a link's socket is
+registered while the link is open, and the front door's sockets for the
+one wait that watches them.  A worker blocks on its link and exits on
+EOF: when :meth:`Router.shutdown` closes the link, or when the router
+dies.  Drive mode sends every resume before it builds any stream, so
+the workers fit their models while the router builds.  A route's
+batches go out in group frames, each group packed into four raw
+columns (:func:`~repro.serve.net.worker.encode_group`).
 
 A replica group (``--replicas K``) is K routes over one cluster's
 stream, each opened with its slice of it
@@ -81,7 +87,7 @@ from ..runtime import ShardTask, build_stream, open_session
 from ..server import ServingSession
 from .framing import FramedConn, NetFaultFilter
 from .replicate import replica_slice
-from .worker import worker_main
+from .worker import encode_group, worker_main
 
 __all__ = ["NetConfig", "NetStats", "Router", "RouteState", "WorkerLink",
            "shard_order"]
@@ -236,6 +242,8 @@ class Router:
         self.links: dict[str, WorkerLink] = {}
         self.log = SupervisionLog()
         self._mp = multiprocessing.get_context("fork") if fork_available() else None
+        #: watches every live link's socket, registered while it is open
+        self._sel = selectors.DefaultSelector()
         enabled = obs.is_enabled()
         self._qdepth = obs.histogram("net.queue_depth") if enabled else None
         self._rpc_hist = obs.histogram("net.rpc_s") if enabled else None
@@ -261,18 +269,24 @@ class Router:
         conn = FramedConn(
             parent_sock, NetFaultFilter(self.plan, f"link:{name}", epoch)
         )
+        self._sel.register(parent_sock, selectors.EVENT_READ)
         return WorkerLink(name, epoch, proc, conn, spawns=spawns)
+
+    def _close_link(self, link: WorkerLink) -> None:
+        self._sel.unregister(link.conn.sock)
+        link.conn.close()
+        link.alive = False
 
     def shutdown(self) -> None:
         """Close every live link, then join its worker, which reads EOF
         and exits.  Every link closes before any join, so the workers
         exit together.  A worker still alive when its join times out is
-        killed."""
+        killed.  The selector closes last."""
         live = [link for link in self.links.values() if link.alive]
         for link in live:  # the dead were reaped, and counted, in _link_down
             self.stats.dropped_frames += link.conn.faults.dropped
-            link.conn.close()
-            link.alive = False
+            self._close_link(link)
+        self._sel.close()
         for link in live:
             link.proc.join(timeout=2.0)
             if link.proc.is_alive():
@@ -346,24 +360,31 @@ class Router:
         """Block until a live link socket or one of ``socks`` turns
         readable, or :data:`POLL_S` elapses: a caller whose step moved
         nothing wakes on the next ack or request instead of sleeping
-        blind.  A selector, not ``select.select``, so descriptor numbers
-        past ``FD_SETSIZE`` work."""
-        with selectors.DefaultSelector() as sel:
-            for link in self.links.values():
-                if link.alive:
-                    sel.register(link.conn.sock, selectors.EVENT_READ)
-            for sock in socks:
-                sel.register(sock, selectors.EVENT_READ)
+        blind.  The links stay registered in the router's one selector
+        (not ``select.select``, so descriptor numbers past
+        ``FD_SETSIZE`` work); ``socks`` are registered for this wait
+        only."""
+        sel = self._sel
+        for sock in socks:
+            sel.register(sock, selectors.EVENT_READ)
+        try:
             if sel.get_map():
                 sel.select(POLL_S)
             else:
                 time.sleep(POLL_S)
+        finally:
+            for sock in socks:
+                sel.unregister(sock)
 
     def drive(self) -> tuple[list, NetStats]:
         """Local-drive mode: build every shard's stream here, route all
-        batches, run to completion; reports in task order."""
+        batches, run to completion; reports in task order.  Every
+        route's resume goes out before any stream is built, so the
+        workers fit their models while the router builds."""
         t0 = obs.wall_now()
         self.start()
+        for shard in self.order:
+            self.open_route(self.tasks[shard], batches=[], total=None)
         # One stream build per *cluster*: replicas share the merged batch
         # sequence and each takes its deterministic slice of it.
         full_batches: dict[str, list] = {}
@@ -373,8 +394,9 @@ class Router:
             if full is None:
                 full = list(build_stream(task).batches(task.config.batch_window_s))
                 full_batches[task.cluster] = full
-            batches = replica_slice(full, task.replica_index, task.replica_count)
-            self.open_route(task, batches=batches, total=len(batches))
+            route = self.routes[shard]
+            route.batches = replica_slice(full, task.replica_index, task.replica_count)
+            route.total = len(route.batches)
         try:
             while not self.done():
                 # Back off only when a step moved nothing: while acks
@@ -484,7 +506,7 @@ class Router:
                 "op": "batch",
                 "cluster": route.cluster,
                 "bi": bi,
-                "items": route.batches[bi:end],
+                "group": encode_group(route.batches[bi:end]),
             })
             route.sent_at[end - 1] = now
             route.next_send = end
@@ -546,14 +568,13 @@ class Router:
     def _link_down(self, link: WorkerLink, now: float, reason: str) -> None:
         if not link.alive:
             return
-        link.alive = False
         self.stats.link_failures += 1
         obs.counter_add(f"net.link_down.{reason}")
         self.stats.dropped_frames += link.conn.faults.dropped
         if link.proc.is_alive():
             link.proc.kill()
         link.proc.join()
-        link.conn.close()
+        self._close_link(link)
         if link.spawns < self.cfg.max_retries:
             # Fresh epoch: new process, re-keyed fault filter.
             self.links[link.name] = self._spawn(

@@ -11,8 +11,9 @@ with three RPCs over one framed socket:
   is built), else on a freshly built shard (models fit here, not in
   the router); replies ``resume_ok`` with the session cursor.
 * ``batch``    — serve a group of consecutive micro-batches (the
-  router coalesces its send window into group frames; ``items`` holds
-  the group, ``bi`` the first index).  Acks are *cumulative* and
+  router coalesces its send window into group frames; ``group`` holds
+  the group as four raw columns, :func:`encode_group`, and ``bi`` its
+  first index).  Acks are *cumulative* and
   coalesced: one ``ack`` per drain round covers every batch up to its
   ``bi``, carrying any checkpoint the session emitted.  A duplicate
   (``bi`` below the cursor) folds into the ack without side effects; a
@@ -47,13 +48,43 @@ the planned batch index.
 from __future__ import annotations
 
 import selectors
+from array import array
+
+import numpy as np
 
 from ...framework.faults import FaultPlan
 from ...framework.supervise import WorkerContext
 from ...obs import collect as obs
 from ..runtime import ShardTask, open_session
+from ..stream import EventBatch
 
-__all__ = ["ShardHost", "worker_main"]
+__all__ = ["ShardHost", "decode_group", "encode_group", "worker_main"]
+
+
+def encode_group(batches) -> tuple[bytes, bytes, bytes, bytes]:
+    """A group of batches as a ``batch`` frame's four raw columns: the
+    kinds (one byte each), the times (float64), the sizes (int64) and
+    every batch's refs concatenated (int64).  With
+    :func:`decode_group`, the only code that knows this layout."""
+    return (
+        bytes([b.kind for b in batches]),
+        array("d", [b.time for b in batches]).tobytes(),
+        array("q", [len(b.refs) for b in batches]).tobytes(),
+        b"".join([np.asarray(b.refs, dtype=np.int64).tobytes() for b in batches]),
+    )
+
+
+def decode_group(group) -> list[EventBatch]:
+    """The batches of an :func:`encode_group` group; each batch's refs
+    are a read-only ``np.frombuffer`` view of the frame's."""
+    kinds, times, sizes, refs = group
+    refs = np.frombuffer(refs, dtype=np.int64)
+    batches = []
+    lo = 0
+    for kind, time, size in zip(kinds, array("d", times), array("q", sizes)):
+        batches.append(EventBatch(kind=kind, time=time, refs=refs[lo:lo + size]))
+        lo += size
+    return batches
 
 
 class ShardHost:
@@ -161,8 +192,6 @@ def _handle_resume(conn, hosts, msg, plan) -> None:
 def _handle_batch(conn, hosts, msg, acks: dict) -> None:
     cluster = msg["cluster"]
     bi0 = int(msg["bi"])
-    # The router coalesces consecutive batches into one group frame.
-    items = msg["items"]
     host = hosts.get(cluster)
     if host is None:
         conn.send({"op": "gap", "cluster": cluster, "expected": 0})
@@ -174,7 +203,8 @@ def _handle_batch(conn, hosts, msg, acks: dict) -> None:
         acks.pop(cluster, None)
         return
     served = -1
-    for i, batch in enumerate(items):
+    # The router coalesces consecutive batches into one group frame.
+    for i, batch in enumerate(decode_group(msg["group"])):
         bi = bi0 + i
         if bi < host.session.cursor:
             served = bi

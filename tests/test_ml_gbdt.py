@@ -1,9 +1,15 @@
 """Tests for the GBDT regressor."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml import GBDTParams, GBDTRegressor
+from repro.ml import tree as tree_mod
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +183,117 @@ class TestModes:
         )
         assert fast.best_iteration_ == ref.best_iteration_
         np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
+
+
+def _per_tree_sum(model, X, n_trees=None):
+    """The per-tree ensemble loop the fused walk replaced: the oracle."""
+    X = np.asarray(X, dtype=float).reshape(-1, len(model.binner_.edges_))
+    Xb = model.binner_.transform(X)
+    if n_trees is None:
+        n_trees = (model.best_iteration_ + 1 if model.best_iteration_ is not None
+                   else len(model.trees_))
+    out = np.full(Xb.shape[0], model.base_score_)
+    for tree in model.trees_[:n_trees]:
+        out += model.params.learning_rate * tree.predict_binned(Xb)
+    return out
+
+
+def _with_nans(rng, X, frac):
+    X = X.copy()
+    X[rng.random(X.shape) < frac] = np.nan
+    return X
+
+
+class TestFusedWalk:
+    """The fused walk of the node table against the per-tree loop, byte
+    for byte (``tobytes``), over every way a model comes to be."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        how=st.sampled_from(["fit", "subsample", "early_stopped", "fit_more",
+                             "pickled"]),
+        n_features=st.integers(1, 5),
+        max_depth=st.integers(1, 7),
+        n_estimators=st.integers(1, 30),
+    )
+    def test_matches_the_per_tree_loop(self, seed, how, n_features,
+                                       max_depth, n_estimators):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 300))
+        X = _with_nans(rng, rng.normal(size=(n, n_features)), 0.1)
+        y = np.nan_to_num(X[:, 0]) ** 2 + rng.normal(size=n)
+        params = GBDTParams(
+            n_estimators=n_estimators, max_depth=max_depth,
+            min_samples_leaf=int(rng.integers(1, 10)),
+            subsample=0.7 if how == "subsample" else 1.0,
+            early_stopping_rounds=2 if how == "early_stopped" else None,
+            random_state=seed % 1000,
+        )
+        model = GBDTRegressor(params)
+        if how == "early_stopped":
+            half = n // 2
+            model.fit(X[:half], y[:half], eval_set=(X[half:], y[half:]))
+        else:
+            model.fit(X, y)
+        if how == "fit_more":
+            model.fit_more(X[:7], y[:7] + 1.0, 4)
+        if how == "pickled":
+            model = pickle.loads(pickle.dumps(model))
+        n_trees = len(model.trees_)
+        for rows in (1, 7, 500):
+            Xt = _with_nans(rng, rng.normal(size=(rows, n_features)), 0.1)
+            Xt[0] = np.nan  # one all-missing row in every batch
+            for truncate in (None, 0, n_trees // 2, n_trees + 3):
+                got = model.predict(Xt, n_trees=truncate)
+                want = _per_tree_sum(model, Xt, truncate)
+                assert got.tobytes() == want.tobytes(), (rows, truncate)
+
+    def test_blocks_of_cells_leave_the_sum_unchanged(self, friedman,
+                                                     monkeypatch):
+        X, y = friedman
+        model = GBDTRegressor(GBDTParams(n_estimators=25, max_depth=5))
+        model.fit(X, y)
+        whole = model.predict(X)
+        # 7-row blocks, the last one short
+        monkeypatch.setattr(tree_mod, "WALK_CELLS", 7 * 25 + 3)
+        assert model.predict(X).tobytes() == whole.tobytes()
+        assert whole.tobytes() == _per_tree_sum(model, X).tobytes()
+
+    def test_a_large_predict_holds_about_one_block(self, friedman):
+        """60,000 rows × 25 trees walk in blocks, so the predict's peak
+        allocation stays near 3 MB; one walk over all 1.5M (row, tree)
+        cells peaks near 38 MB."""
+        X, y = friedman
+        model = GBDTRegressor(GBDTParams(n_estimators=25)).fit(X, y)
+        big = np.tile(X, (50, 1))
+        tracemalloc.start()
+        try:
+            model.predict(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+
+    def test_seeding_new_rows_matches_the_per_tree_loop(self, friedman):
+        """fit_more seeds its new rows' predictions through the walk."""
+        X, y = friedman
+        model = GBDTRegressor(GBDTParams(n_estimators=12, max_depth=4))
+        model.fit(X[:600], y[:600])
+        seeded = _per_tree_sum(model, X[600:650])
+        model.fit_more(X[600:650], y[600:650], 0)
+        assert model._pred_train[600:].tobytes() == seeded.tobytes()
+
+    def test_pickle_bytes_unchanged_by_predict_or_a_round_trip(self, friedman):
+        """The node table is derived state: a predict leaves the pickle
+        as it was, a pickle never carries the table, and an unpickled
+        model pickles to the same bytes and predicts the same floats."""
+        X, y = friedman
+        model = GBDTRegressor(GBDTParams(n_estimators=10)).fit(X, y)
+        before = pickle.dumps(model)
+        model.predict(X[:50])
+        assert pickle.dumps(model) == before
+        assert b"NodeTable" not in before
+        clone = pickle.loads(before)
+        assert pickle.dumps(clone) == before
+        assert clone.predict(X).tobytes() == model.predict(X).tobytes()

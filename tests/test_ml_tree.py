@@ -64,6 +64,44 @@ class TestBinner:
         assert np.all(np.diff(bins) >= 0)
 
 
+def _transform_per_feature(binner, X):
+    """The per-feature transform (an ``isnan``/``any`` pair per column)
+    that ``Binner.transform`` replaced: the oracle."""
+    out = np.empty(X.shape, dtype=np.int32)
+    for j, edges in enumerate(binner.edges_):
+        col = X[:, j]
+        if edges.size == 0:
+            out[:, j] = 0
+        else:
+            out[:, j] = np.searchsorted(edges, col, side="left")
+        nan = np.isnan(col)
+        if nan.any():
+            out[nan, j] = edges.size + 1
+    return out
+
+
+class TestBinnerTransform:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_bins=st.integers(2, 64),
+           rows=st.integers(1, 200), cols=st.integers(1, 6))
+    def test_matches_the_per_feature_reference(self, seed, max_bins, rows,
+                                               cols):
+        """Over NaN-sprinkled, all-NaN and constant features alike."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, cols)
+        X[rng.random(X.shape) < rng.random()] = np.nan
+        X[:, rng.integers(cols)] = np.nan
+        X[:, rng.integers(cols)] = 3.0
+        b = Binner(max_bins=max_bins).fit(X)
+        Xt = rng.normal(size=(rows, cols)) * 10
+        Xt[rng.random(Xt.shape) < 0.3] = np.nan
+        Xt[: rows // 2] = X[: rows // 2]
+        for data in (X, Xt):
+            got = b.transform(data)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, _transform_per_feature(b, data))
+
+
 class TestMissingValues:
     """NaN handling: a deterministic dedicated missing-value bin.
 

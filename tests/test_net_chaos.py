@@ -25,6 +25,7 @@ import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -981,7 +982,7 @@ class TestWorkerLifetime:
                 # A reply shows the worker is past its closes: a batch
                 # for a shard it does not host is answered with a gap.
                 link.conn.send({"op": "batch", "cluster": "none", "bi": 0,
-                                "items": []})
+                                "group": worker_mod.encode_group([])})
                 replies: list = []
                 deadline = time.monotonic() + 30.0
                 while not replies and time.monotonic() < deadline:
@@ -1018,6 +1019,39 @@ class TestWorkerLifetime:
         assert stats.respawns == 1
         assert [link.proc.exitcode for link in seen["links"]] == [0, 0]
         assert seen["s"] < 1.0
+
+
+class TestGroupFrame:
+    """A ``batch`` frame carries its group as four raw columns."""
+
+    @pytest.mark.parametrize("sizes", [[3], [0], [2, 0, 5, 1, 1, 4, 0, 7]],
+                             ids=["one-batch", "empty-refs", "full-group"])
+    def test_round_trip(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        kinds = [SUBMIT, FINISH, NODE_SAMPLE, NODE_FAIL]
+        batches = [
+            EventBatch(kind=kinds[i % 4], time=float(rng.uniform(0, 1e6)),
+                       refs=rng.integers(0, 10**9, size=k).astype(np.int64))
+            for i, k in enumerate(sizes)
+        ]
+        frame = pack({"op": "batch", "cluster": "Venus", "bi": 0,
+                      "group": worker_mod.encode_group(batches)})
+        got = worker_mod.decode_group(unpack(frame[4:])["group"])
+        assert [b.kind for b in got] == [b.kind for b in batches]
+        assert [b.time for b in got] == [b.time for b in batches]
+        assert all(type(b.kind) is int and type(b.time) is float for b in got)
+        for a, b in zip(got, batches):
+            assert a.refs.dtype == np.int64
+            np.testing.assert_array_equal(a.refs, b.refs)
+
+    def test_empty_group(self):
+        assert worker_mod.decode_group(worker_mod.encode_group([])) == []
+
+
+#: a one-batch group frame's columns, for the stand-in sessions below
+_ONE_BATCH = worker_mod.encode_group(
+    [EventBatch(kind=SUBMIT, time=0.0, refs=np.zeros(1, dtype=np.int64))]
+)
 
 
 class _BigAckSession:
@@ -1093,7 +1127,7 @@ class TestWorkerLink:
             t0 = time.monotonic()
             for bi in range(3):
                 router_end.sendall(pack({"op": "batch", "cluster": "Venus",
-                                         "bi": bi, "items": [None]}))
+                                         "bi": bi, "group": _ONE_BATCH}))
                 ack = _recv_frame(router_end)
                 assert (ack["op"], ack["bi"], len(ack["ckpt"])) == (
                     "ack", bi, 4 << 20)
@@ -1124,7 +1158,7 @@ class TestWorkerLink:
                                  "ckpt": None}))
         for bi in range(40):
             router_end.sendall(pack({"op": "batch", "cluster": "Venus",
-                                     "bi": bi, "items": [None]}))
+                                     "bi": bi, "group": _ONE_BATCH}))
         router_end.close()
         t0 = time.monotonic()
         worker_mod.worker_main(worker_end)
