@@ -24,8 +24,9 @@ Replica groups (:mod:`.replicate`) split one cluster's stream across
 ``--replicas K`` shards: submits round-robin, finishes to every
 replica, node samples to replica 0.  The K replicas start on K
 different workers (wrapping round past the pool size).  Each replica
-refits its own models, and its decisions equal its slice of the
-single-shard merged-stream run — including under SIGKILL or partition.
+refits its own models (replica 0 alone fits a CES forecaster), and its
+decisions equal its slice of the single-shard merged-stream run —
+including under SIGKILL or partition.
 """
 
 from .framing import FramedConn, NetFaultFilter, pack, unpack

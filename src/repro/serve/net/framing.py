@@ -45,28 +45,31 @@ TAG_JSON = b"J"
 def pack(msg: object, fmt: str = "pickle") -> bytes:
     """Encode one message into a framed byte string."""
     if fmt == "pickle":
-        payload = TAG_PICKLE + pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
+        tag, payload = TAG_PICKLE, pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
     elif fmt == "json":
-        payload = TAG_JSON + json.dumps(msg, sort_keys=True).encode()
+        tag, payload = TAG_JSON, json.dumps(msg, sort_keys=True).encode()
     else:
         raise ValueError(f"unknown frame format {fmt!r}")
-    return _HEADER.pack(len(payload)) + payload
+    # One copy of the payload, however large (a checkpoint ack is MBs).
+    return b"".join((_HEADER.pack(len(payload) + 1), tag, payload))
 
 
-def unpack(body: bytes) -> object:
-    """Decode one frame body (tag byte + payload)."""
+def unpack(body) -> object:
+    """Decode one frame body (tag byte + payload; bytes or a
+    memoryview)."""
     if body[:1] == TAG_PICKLE:
         return pickle.loads(body[1:])
     return unpack_json(body)
 
 
-def unpack_json(body: bytes) -> object:
-    """Decode one JSON frame body; any other tag raises ValueError, as
-    do bad UTF-8 and bad JSON (both are ValueErrors)."""
-    tag = body[:1]
+def unpack_json(body) -> object:
+    """Decode one JSON frame body (bytes or a memoryview); any other tag
+    raises ValueError, as do bad UTF-8 and bad JSON (both are
+    ValueErrors)."""
+    tag = bytes(body[:1])
     if tag != TAG_JSON:
         raise ValueError(f"unknown frame tag {tag!r}")
-    return json.loads(body[1:].decode())
+    return json.loads(str(body[1:], "utf-8"))
 
 
 class NetFaultFilter:
@@ -174,7 +177,7 @@ class FramedConn:
     def fileno(self) -> int:
         return self.sock.fileno()
 
-    def _decode(self, body: bytes) -> object:
+    def _decode(self, body) -> object:
         return unpack(body)
 
     def _oversized(self, length: int) -> None:
@@ -236,12 +239,15 @@ class FramedConn:
                 self._in.clear()
                 self._oversized(length)
                 break
-            if len(self._in) < _HEADER.size + length:
+            end = _HEADER.size + length
+            if len(self._in) < end:
                 break
-            body = bytes(self._in[_HEADER.size:_HEADER.size + length])
-            del self._in[:_HEADER.size + length]
             if self.faults is None or self.faults.incoming():
-                msgs.append(self._decode(body))
+                # Decoded in place: a checkpoint ack's MBs are copied
+                # once, by the unpickler, not sliced out first.
+                with memoryview(self._in) as buf, buf[_HEADER.size:end] as body:
+                    msgs.append(self._decode(body))
+            del self._in[:end]
         return msgs
 
     def close(self) -> None:

@@ -85,7 +85,7 @@ class _ClientConn(FramedConn):
             # one, since it would only add to the pile.
             self.close()
 
-    def _decode(self, body: bytes) -> object:
+    def _decode(self, body) -> object:
         try:
             return unpack_json(body)
         except (ValueError, RecursionError):

@@ -8,7 +8,9 @@ finished job, or decisions would diverge from the merged-stream run),
 node batches to replica 0 only (the CES controller is a sequential
 stateful owner).
 
-Every replica refits its own models on the observations it sees.  A
+Every replica refits its own models on the observations it sees, and
+only replica 0 fits a CES forecaster (:attr:`ShardTask.owns_ces
+<repro.serve.runtime.ShardTask.owns_ces>`).  A
 replica's QSSF models see every finish, so they follow the same lineage
 as the merged-stream run's and its decisions equal that run's for the
 submit batches it owns; replica 0's CES controller sees every node

@@ -73,7 +73,8 @@ class ShardTask:
     #: replica-group position: the serve-net router splits one cluster's
     #: stream across ``replica_count`` shards (submit batches round-robin
     #: by rank, finish batches broadcast, node batches to replica 0 — the
-    #: CES owner).  The default (0 of 1) is a whole-cluster shard.
+    #: CES owner, the only replica that fits a CES forecaster).  The
+    #: default (0 of 1) is a whole-cluster shard.
     replica_index: int = 0
     replica_count: int = 1
 
@@ -111,6 +112,14 @@ class ShardTask:
             return self.cluster
         return f"{self.cluster}@{self.replica_index}"
 
+    @property
+    def owns_ces(self) -> bool:
+        """Whether node samples reach this shard: every shard but a
+        replica other than 0, since
+        :func:`~repro.serve.net.replicate.replica_slice` sends node
+        batches to replica 0 alone."""
+        return self.replica_index == 0
+
 
 def build_shard(task: ShardTask) -> tuple[PredictionServer, EventStream]:
     """Fit one shard's server and build its event stream.
@@ -137,7 +146,9 @@ def build_shard(task: ShardTask) -> tuple[PredictionServer, EventStream]:
         ces_history, stream = _trace_stream(
             task, gpu, hist_start, eval_start, stream_end, total_nodes
         )
-    server.install_ces(ces_history, total_nodes)
+    # A replica that never sees a node sample skips the forecaster fit,
+    # most of a shard's set-up.
+    server.install_ces(ces_history, total_nodes, fit=task.owns_ces)
     return server, stream
 
 

@@ -379,21 +379,31 @@ class PredictionServer:
         self.engine.register(service, prefitted=True)
         return service
 
-    def install_ces(self, demand_history: np.ndarray, total_nodes: int) -> CESNodeService:
+    def install_ces(self, demand_history: np.ndarray, total_nodes: int, *,
+                    fit: bool = True) -> CESNodeService:
         """Fit the node-demand forecaster and arm the DRS controller.
 
         ``demand_history`` is the training window of the demand series;
         streamed node samples continue it (index ``len(history) + k``,
         calendar t0 pinned at the history start).
+
+        ``fit=False`` is for a shard that no node sample reaches (a
+        replica other than 0): the service is registered unfitted, so
+        the shard's report lists it as its siblings' do, and nothing is
+        armed; a node sample would fail as if CES were not installed.
         """
         cfg = self.config
-        history = np.asarray(demand_history, dtype=float)
         service = CESNodeService(
             horizon_bins=cfg.horizon_bins,
             update_every=cfg.ces_update_every,
             features=cfg.ces_features,
             gbdt_params=cfg.ces_gbdt,
-        ).fit(history)
+        )
+        if not fit:
+            self.engine.register(service)
+            return service
+        history = np.asarray(demand_history, dtype=float)
+        service.fit(history)
         self.engine.register(service, prefitted=True)
         self._ces_series = _GrowingSeries(history)
         self._ces_controller = DRSController(

@@ -126,6 +126,19 @@ class TestFraming:
         assert frame[4:5] == TAG_JSON
         assert unpack(frame[4:]) == {"op": "status", "bi": 3}
 
+    def test_bodies_decode_from_a_memoryview(self):
+        # FramedConn.receive decodes each body in place, as a view of
+        # its input buffer.
+        for fmt in ("pickle", "json"):
+            frame = pack({"op": "ack", "bi": 7}, fmt=fmt)
+            assert unpack(memoryview(frame)[4:]) == {"op": "ack", "bi": 7}
+        json_frame = memoryview(pack([1, 2], fmt="json"))
+        assert unpack_json(json_frame[4:]) == [1, 2]
+        with pytest.raises(ValueError, match="tag b'P'"):
+            unpack_json(memoryview(pack({"op": "status"}))[4:])
+        with pytest.raises(ValueError):
+            unpack_json(memoryview(b"J\xff\xfe"))
+
     def test_length_prefix_covers_tag_and_payload(self):
         frame = pack({"a": 1}, fmt="json")
         (length,) = __import__("struct").unpack(">I", frame[:4])

@@ -1,12 +1,18 @@
 """Replica groups: the unit half (no fork needed).
 
-Covers the deterministic replica stream partition.  The forked
-end-to-end replica parity and chaos tests live in test_net_chaos.py.
+Covers the deterministic replica stream partition and which replica
+fits a CES forecaster.  The forked end-to-end replica parity and chaos
+tests live in test_net_chaos.py.
 """
 
+import pickle
+
 import numpy as np
+import pytest
 
 from repro.serve.net import replica_slice
+from repro.serve.runtime import ShardTask, build_shard
+from repro.serve.server import ServingSession
 from repro.serve.stream import FINISH, NODE_SAMPLE, SUBMIT, EventBatch
 
 
@@ -49,3 +55,39 @@ class TestReplicaSlice:
         for s in slices:
             assert [b.time for b in s] == sorted(b.time for b in s)
 
+
+class TestCesOwner:
+    @pytest.fixture(scope="class")
+    def shards(self):
+        """Replicas 0 and 1 of a 2-replica Venus group, smoke-sized."""
+        from repro.experiments.serving import smoke_serve_config
+
+        return [
+            build_shard(ShardTask(
+                cluster="Venus", config=smoke_serve_config(), history_days=14,
+                stream_days=1.0, max_jobs=300, replica_index=j, replica_count=2,
+            ))
+            for j in range(2)
+        ]
+
+    def test_whole_cluster_shards_and_replica_zero_own_ces(self):
+        assert ShardTask(cluster="Venus").owns_ces
+        assert ShardTask(cluster="Venus", replica_index=0, replica_count=3).owns_ces
+        assert not ShardTask(cluster="Venus", replica_index=2, replica_count=3).owns_ces
+
+    def test_only_replica_zero_fits_a_forecaster(self, shards):
+        (owner, _), (other, _) = shards
+        assert owner.orchestrator.service("ces").forecaster is not None
+        # The other replica lists the service, unfitted, and arms no
+        # controller; its checkpoints carry no forecaster.
+        assert other.engine.services == owner.engine.services
+        assert other.orchestrator.service("ces").forecaster is None
+        assert other._ces_controller is None
+        assert len(pickle.dumps(other.__dict__)) < len(pickle.dumps(owner.__dict__))
+
+    def test_a_node_sample_at_another_replica_fails_loudly(self, shards):
+        _, (other, stream) = shards
+        batch = next(b for b in stream.batches(other.config.batch_window_s)
+                     if b.kind == NODE_SAMPLE)
+        with pytest.raises(RuntimeError, match="CES not installed"):
+            ServingSession(other, stream).process(0, batch)
