@@ -6,7 +6,8 @@ sites cost ~a branch) collects:
 * **spans** — nested wall-time regions with explicit ids that survive
   forking (:mod:`repro.obs.spans`);
 * **metrics** — counters, gauges, and bounded log-binned streaming
-  histograms (:mod:`repro.obs.metrics`);
+  histograms (:mod:`repro.obs.metrics`), kept with the spans in one
+  live snapshot that ``snapshot()`` copies and ``drain()`` hands off;
 * **cross-process state** — pool and serve-net workers piggyback their
   obs snapshots on the existing result pickles; the parent merges them
   into one run-wide view that survives retries and checkpoint-resume
@@ -44,12 +45,10 @@ from .collect import (
     gauge_set,
     histogram,
     is_enabled,
-    merge_histogram,
     merge_snapshot,
     record_span,
     reset,
     snapshot,
-    split_carrier,
     trace,
     traced,
     wall_now,
@@ -62,7 +61,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Histogram
 from .spans import Span, SpanRecord
 
 
@@ -74,7 +73,6 @@ def dump(out_dir):
 
 __all__ = [
     "Histogram",
-    "MetricsRegistry",
     "ObsCarrier",
     "ObsRecorder",
     "ObsSnapshot",
@@ -93,13 +91,11 @@ __all__ = [
     "gauge_set",
     "histogram",
     "is_enabled",
-    "merge_histogram",
     "merge_snapshot",
     "read_jsonl",
     "record_span",
     "reset",
     "snapshot",
-    "split_carrier",
     "trace",
     "traced",
     "validate_chrome_trace",

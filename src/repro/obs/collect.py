@@ -3,22 +3,26 @@
 One :class:`ObsRecorder` per process (module global ``RECORDER``),
 disabled by default: every recording entry point checks one flag and
 returns, so instrumented call sites cost ~a branch until ``enable()``.
+The recorder keeps its state as one live :class:`ObsSnapshot` (plus the
+open-span stack): :meth:`~ObsRecorder.snapshot` copies it,
+:meth:`~ObsRecorder.drain` hands it off and starts a fresh one, and
+:meth:`~ObsRecorder.merge` is :meth:`ObsSnapshot.merge`.
 
 Cross-process flow — the piggyback protocol:
 
 * the parent calls :func:`enable` *before* forking, so pool and
   serve-net workers inherit the flag copy-on-write;
-* an ``os.register_at_fork`` hook clears the child's inherited buffers
+* an ``os.register_at_fork`` hook drains the child's inherited state
   (the parent still owns those records) while keeping the open-span
   stack, so child spans re-parent under the parent's open spans;
 * a worker wraps each result in an :class:`ObsCarrier` holding a
   :func:`drain` snapshot of everything it recorded for that item
   (:func:`carry_result`); draining per item keeps long-lived pool
   workers from re-shipping cumulative state;
-* the parent unwraps with :func:`absorb_result` / :func:`split_carrier`
-  and merges the snapshot into its own recorder — but only for
-  *successful* attempts, which is what keeps retried/crashed attempts
-  from double-counting (a SIGKILLed fork's recorder dies unreported).
+* the parent unwraps with :func:`absorb_result`, which merges the
+  snapshot into its own recorder — and only for *successful* attempts,
+  which is what keeps retried/crashed attempts from double-counting
+  (a SIGKILLed fork's recorder dies unreported).
 
 Everything a worker ships is picklable and rides the existing result
 pipes — there is no side channel to lose on a crash.
@@ -30,8 +34,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-from .metrics import Histogram, MetricsRegistry
-from .spans import NOOP_SPAN, Span, SpanBuffer, SpanRecord, wall_now
+from .metrics import Histogram
+from .spans import NOOP_SPAN, Span, SpanRecord, SpanStack, wall_now
 
 __all__ = [
     "ObsCarrier",
@@ -47,12 +51,10 @@ __all__ = [
     "gauge_set",
     "histogram",
     "is_enabled",
-    "merge_histogram",
     "merge_snapshot",
     "record_span",
     "reset",
     "snapshot",
-    "split_carrier",
     "trace",
     "traced",
     "wall_now",
@@ -61,7 +63,12 @@ __all__ = [
 
 @dataclass
 class ObsSnapshot:
-    """A frozen, picklable view of one recorder's state."""
+    """Spans, counters, gauges and histograms: a recorder's live state,
+    and the picklable value it hands out.
+
+    Counters sum on merge; gauges are last-write-wins (merge keeps the
+    incoming value); histograms merge bin-wise.
+    """
 
     spans: list[SpanRecord] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)
@@ -96,87 +103,80 @@ class ObsCarrier:
 
 
 class ObsRecorder:
-    """Spans + metrics for one process, with snapshot/drain/merge."""
+    """One process's obs state: a live :class:`ObsSnapshot` plus the
+    open-span stack."""
 
     def __init__(self) -> None:
         self.enabled = False
-        self.metrics = MetricsRegistry()
-        self.spans = SpanBuffer()
+        self.live = ObsSnapshot()
+        self.stack = SpanStack()
 
     # -- recording (each entry point: one enabled check) ---------------
 
     def trace(self, name: str, **attrs):
         if not self.enabled:
             return NOOP_SPAN
-        return Span(self.spans, name, attrs)
+        return Span(self, name, attrs)
 
     def record_span(self, name: str, start: float, end: float, **attrs) -> None:
         """Emit an already-timed span (explicit wall timestamps)."""
         if not self.enabled:
             return
-        buf = self.spans
-        buf.records.append(SpanRecord(
+        stack = self.stack
+        self.live.spans.append(SpanRecord(
             name=name,
-            span_id=buf.new_id(),
-            parent_id=buf.current_parent(),
+            span_id=stack.new_id(),
+            parent_id=stack.current_parent(),
             start=float(start),
             end=float(end),
-            pid=buf.pid,
+            pid=stack.pid,
             attrs=attrs,
         ))
 
     def counter_add(self, name: str, n: int = 1) -> None:
         if self.enabled:
-            self.metrics.counter_add(name, n)
+            counters = self.live.counters
+            counters[name] = counters.get(name, 0) + int(n)
 
     def gauge_set(self, name: str, value: float) -> None:
         if self.enabled:
-            self.metrics.gauge_set(name, value)
+            self.live.gauges[name] = float(value)
 
     def histogram(self, name: str, **geometry) -> Histogram:
-        """The named histogram — or a shared discard instance when
-        disabled, so hot paths can record unconditionally after one
-        hoisted ``is_enabled()`` check."""
+        """The named histogram, created on first use — or a shared
+        discard instance when disabled, so hot paths can record
+        unconditionally after one hoisted ``is_enabled()`` check.
+
+        ``geometry`` (lo/decades/bins_per_decade) applies on creation
+        only; later calls return the existing instance, so a call
+        site's geometry must be deterministic for cross-process merges
+        to line up.  A handle records into the state it was taken from,
+        drained or not.
+        """
         if not self.enabled:
             return _DISCARD_HIST
-        return self.metrics.histogram(name, **geometry)
-
-    def merge_histogram(self, name: str, hist: Histogram) -> None:
-        if self.enabled:
-            self.metrics.merge_histogram(name, hist)
+        hists = self.live.histograms
+        hist = hists.get(name)
+        if hist is None:
+            hist = hists[name] = Histogram(**geometry)
+        return hist
 
     # -- aggregation ---------------------------------------------------
 
     def snapshot(self) -> ObsSnapshot:
         """Copy of everything recorded so far (recorder untouched)."""
-        return ObsSnapshot(
-            spans=list(self.spans.records),
-            counters=dict(self.metrics.counters),
-            gauges=dict(self.metrics.gauges),
-            histograms={k: h.copy() for k, h in self.metrics.histograms.items()},
-        )
+        return ObsSnapshot().merge(self.live)
 
     def drain(self) -> ObsSnapshot:
-        """Snapshot + clear: hands off the recorded state, keeping the
+        """Hand off the live state and start a fresh one, keeping the
         enabled flag and the open-span stack (spans still in flight
-        close against fresh buffers and re-parent correctly)."""
-        snap = ObsSnapshot(
-            spans=self.spans.records,
-            counters=self.metrics.counters,
-            gauges=self.metrics.gauges,
-            histograms=self.metrics.histograms,
-        )
-        self.spans.records = []
-        self.metrics.counters = {}
-        self.metrics.gauges = {}
-        self.metrics.histograms = {}
+        close into the fresh state and keep their parents)."""
+        snap, self.live = self.live, ObsSnapshot()
         return snap
 
     def merge(self, snap: ObsSnapshot | None) -> None:
-        if snap is None:
-            return
-        self.spans.records.extend(snap.spans)
-        self.metrics.merge(snap.counters, snap.gauges, snap.histograms)
+        if snap is not None:
+            self.live.merge(snap)
 
     def reset(self) -> None:
         """Drop all recorded state (keeps the enabled flag)."""
@@ -191,8 +191,8 @@ RECORDER = ObsRecorder()
 
 
 def _after_fork() -> None:
-    RECORDER.spans.after_fork()
-    RECORDER.metrics.clear()
+    RECORDER.stack.after_fork()
+    RECORDER.drain()
 
 
 os.register_at_fork(after_in_child=_after_fork)
@@ -212,19 +212,23 @@ def is_enabled() -> bool:
     return RECORDER.enabled
 
 
-def reset() -> None:
-    RECORDER.reset()
-
-
-def trace(name: str, **attrs):
-    """``with trace("name", **attrs):`` — time a region (no-op when
-    recording is disabled)."""
-    return RECORDER.trace(name, **attrs)
+#: ``with trace("name", **attrs):`` times a region (a no-op while
+#: recording is disabled)
+trace = RECORDER.trace
+record_span = RECORDER.record_span
+counter_add = RECORDER.counter_add
+gauge_set = RECORDER.gauge_set
+histogram = RECORDER.histogram
+snapshot = RECORDER.snapshot
+drain = RECORDER.drain
+merge_snapshot = RECORDER.merge
+reset = RECORDER.reset
 
 
 def traced(name: str | None = None, **attrs):
-    """Decorator form of :func:`trace`; checks the enabled flag at each
-    call, so it is safe to apply at import time."""
+    """The decorator form of :func:`trace`.  It checks the enabled flag
+    at each call, so it is safe to apply at import time, while recording
+    is usually still off."""
     def deco(fn):
         import functools
 
@@ -240,38 +244,6 @@ def traced(name: str | None = None, **attrs):
     return deco
 
 
-def record_span(name: str, start: float, end: float, **attrs) -> None:
-    RECORDER.record_span(name, start, end, **attrs)
-
-
-def counter_add(name: str, n: int = 1) -> None:
-    RECORDER.counter_add(name, n)
-
-
-def gauge_set(name: str, value: float) -> None:
-    RECORDER.gauge_set(name, value)
-
-
-def histogram(name: str, **geometry) -> Histogram:
-    return RECORDER.histogram(name, **geometry)
-
-
-def merge_histogram(name: str, hist: Histogram) -> None:
-    RECORDER.merge_histogram(name, hist)
-
-
-def snapshot() -> ObsSnapshot:
-    return RECORDER.snapshot()
-
-
-def drain() -> ObsSnapshot:
-    return RECORDER.drain()
-
-
-def merge_snapshot(snap: ObsSnapshot | None) -> None:
-    RECORDER.merge(snap)
-
-
 # -- piggyback protocol -------------------------------------------------
 
 def carry_result(result: Any) -> Any:
@@ -283,14 +255,6 @@ def carry_result(result: Any) -> Any:
     if not RECORDER.enabled:
         return result
     return ObsCarrier(result, RECORDER.drain())
-
-
-def split_carrier(obj: Any) -> tuple[Any, ObsSnapshot | None]:
-    """Unwrap a possible carrier without merging (the caller decides
-    whether the attempt's obs state should count)."""
-    if isinstance(obj, ObsCarrier):
-        return obj.result, obj.obs
-    return obj, None
 
 
 def absorb_result(obj: Any) -> Any:

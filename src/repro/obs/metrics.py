@@ -1,28 +1,27 @@
-"""Process-local metric primitives: counters, gauges, bounded histograms.
+"""The bounded streaming histogram behind every obs latency and depth.
 
-The histogram is the load-bearing piece: serving shards record one
-latency sample per decision, a long stream records millions, and the
-pre-obs telemetry kept every sample in an unbounded ``list[float]``.
-:class:`Histogram` replaces that with **fixed log-spaced bins** — O(1)
-memory regardless of sample count, O(1) record, mergeable across
-processes (bin-wise addition), with quantiles read off the cumulative
-bin counts.  Default geometry covers 1 µs .. 1000 s at 30 bins per
-decade (≈ ±4 % relative quantile error), which spans every latency this
-repo measures; callers recording non-time values (queue depths) pick
-their own ``lo``/``decades``.
+Serving shards record one latency sample per decision, a long stream
+records millions, and the pre-obs telemetry kept every sample in an
+unbounded ``list[float]``.  :class:`Histogram` replaces that with
+**fixed log-spaced bins** — O(1) memory regardless of sample count,
+O(1) record, mergeable across processes (bin-wise addition), with
+quantiles read off the cumulative bin counts.  Default geometry covers
+1 µs .. 1000 s at 30 bins per decade (≈ ±4 % relative quantile error),
+which spans every latency this repo measures; callers recording
+non-time values (queue depths) pick their own ``lo``/``decades``.
 
-Everything here is deliberately registry-local (no globals): the global
-recorder lives in :mod:`repro.obs.collect`.
+Counters and gauges are plain dict entries of the live
+:class:`~repro.obs.collect.ObsSnapshot`; the global recorder lives in
+:mod:`repro.obs.collect`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Histogram", "MetricsRegistry"]
+__all__ = ["Histogram"]
 
 
 class Histogram:
@@ -204,56 +203,3 @@ class Histogram:
             f"Histogram(count={self.count}, mean={self.mean:.6g}, "
             f"p50={self.quantile(0.5):.6g}, p99={self.quantile(0.99):.6g})"
         )
-
-
-@dataclass
-class MetricsRegistry:
-    """Named counters, gauges, and histograms for one process.
-
-    Counters sum on merge; gauges are last-write-wins (merge keeps the
-    incoming value); histograms merge bin-wise.  All maps are plain
-    dicts keyed by metric name — the export layer decides presentation.
-    """
-
-    counters: dict[str, int] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
-
-    def counter_add(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + int(n)
-
-    def gauge_set(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
-
-    def histogram(self, name: str, **geometry) -> Histogram:
-        """Get-or-create the named histogram.
-
-        ``geometry`` (lo/decades/bins_per_decade) applies on first
-        creation only; later calls return the existing instance, so a
-        call site's geometry must be deterministic for cross-process
-        merges to line up.
-        """
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = Histogram(**geometry)
-        return hist
-
-    def merge_histogram(self, name: str, other: Histogram) -> None:
-        hist = self.histograms.get(name)
-        if hist is None:
-            self.histograms[name] = other.copy()
-        else:
-            hist.merge(other)
-
-    def merge(self, counters: dict, gauges: dict,
-              histograms: dict[str, Histogram]) -> None:
-        for name, n in counters.items():
-            self.counter_add(name, n)
-        self.gauges.update(gauges)
-        for name, hist in histograms.items():
-            self.merge_histogram(name, hist)
-
-    def clear(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()

@@ -1,12 +1,14 @@
-"""Nested wall-time spans with explicit ids and fork-safe buffers.
+"""Nested wall-time spans with explicit, fork-safe ids.
 
 A span is one timed region (``with trace("qssf.decide", cluster="Venus")``).
 Spans carry explicit string ids — ``"<pid-hex>.<seq>"`` — rather than
 relying on object identity, so a forked child's spans can name a parent
 span that lives in a *different process*: the child inherits the parent's
-open-span stack at fork time, keeps it for parenting, and clears only
-the closed-record buffer (see :func:`repro.obs.collect` for the
-``os.register_at_fork`` hook).
+open-span stack at fork time and keeps it for parenting, while its
+recorder drops the closed records the parent still owns (see
+:mod:`repro.obs.collect` for the ``os.register_at_fork`` hook).  A span
+closes into its recorder's live state as it stands at exit, so a span
+left open across a drain lands in the fresh state.
 
 Timestamps are ``perf_counter`` (monotonic) re-based onto the wall
 clock once at import: ``perf_counter`` on Linux is ``CLOCK_MONOTONIC``,
@@ -16,12 +18,11 @@ consistent timeline without any cross-process clock handshake.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["SpanBuffer", "SpanRecord", "Span", "NOOP_SPAN", "wall_now"]
+__all__ = ["SpanStack", "SpanRecord", "Span", "NOOP_SPAN", "wall_now"]
 
 #: wall-clock anchor for the monotonic clock, fixed at import; forked
 #: children inherit it, so all processes share one timeline.
@@ -50,12 +51,11 @@ class SpanRecord:
         return self.end - self.start
 
 
-class SpanBuffer:
-    """Per-process store of closed spans plus the open-span id stack."""
+class SpanStack:
+    """Per-process span ids plus the stack of open span ids."""
 
     def __init__(self) -> None:
-        self.records: list[SpanRecord] = []
-        self.stack: list[str] = []
+        self.open: list[str] = []
         self.pid = os.getpid()
         self._seq = 0
 
@@ -64,76 +64,52 @@ class SpanBuffer:
         return f"{self.pid:x}.{self._seq}"
 
     def current_parent(self) -> str | None:
-        return self.stack[-1] if self.stack else None
+        return self.open[-1] if self.open else None
 
     def after_fork(self) -> None:
-        """Reset for a forked child: drop the parent's closed records
-        (the parent still owns them) but *keep* the open-span stack, so
-        this child's spans re-parent under the spans that were open in
-        the parent at fork time."""
-        self.records = []
+        """Reset for a forked child: new ids, but the *same* open-span
+        stack, so this child's spans re-parent under the spans that
+        were open in the parent at fork time."""
         self.pid = os.getpid()
         self._seq = 0
 
 
 class Span:
-    """Context manager for one timed region; also usable via
-    :meth:`set` to attach attributes discovered mid-span."""
+    """Context manager for one timed region of ``recorder`` (an
+    :class:`~repro.obs.collect.ObsRecorder`)."""
 
-    __slots__ = ("_buf", "name", "attrs", "span_id", "parent_id", "_t0")
+    __slots__ = ("_rec", "name", "attrs", "span_id", "parent_id", "_t0")
 
-    def __init__(self, buf: SpanBuffer, name: str, attrs: dict) -> None:
-        self._buf = buf
+    def __init__(self, recorder, name: str, attrs: dict) -> None:
+        self._rec = recorder
         self.name = name
         self.attrs = attrs
 
-    def set(self, **attrs) -> "Span":
-        self.attrs.update(attrs)
-        return self
-
     def __enter__(self) -> "Span":
-        buf = self._buf
-        self.parent_id = buf.current_parent()
-        self.span_id = buf.new_id()
-        buf.stack.append(self.span_id)
+        stack = self._rec.stack
+        self.parent_id = stack.current_parent()
+        self.span_id = stack.new_id()
+        stack.open.append(self.span_id)
         self._t0 = wall_now()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         t1 = wall_now()
-        buf = self._buf
-        if buf.stack and buf.stack[-1] == self.span_id:
-            buf.stack.pop()
+        stack = self._rec.stack
+        if stack.open and stack.open[-1] == self.span_id:
+            stack.open.pop()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        buf.records.append(SpanRecord(
+        self._rec.live.spans.append(SpanRecord(
             name=self.name,
             span_id=self.span_id,
             parent_id=self.parent_id,
             start=self._t0,
             end=t1,
-            pid=buf.pid,
+            pid=stack.pid,
             attrs=self.attrs,
         ))
         return False
-
-    def __call__(self, fn):
-        """Decorator form: times every call of ``fn`` under this name.
-
-        Each invocation opens a fresh span against the *current*
-        recorder state, so decorating at import time works even though
-        recording is usually enabled later.
-        """
-        buf = self._buf
-        name = self.name
-        attrs = self.attrs
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with Span(buf, name, dict(attrs)):
-                return fn(*args, **kwargs)
-
-        return wrapper
 
 
 class _NoopSpan:
@@ -141,17 +117,11 @@ class _NoopSpan:
 
     __slots__ = ()
 
-    def set(self, **attrs) -> "_NoopSpan":
-        return self
-
     def __enter__(self) -> "_NoopSpan":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
-
-    def __call__(self, fn):
-        return fn
 
 
 NOOP_SPAN = _NoopSpan()

@@ -129,6 +129,10 @@ class NetFaultFilter:
                 return [frame, frame]
         return [frame]
 
+    def next_release(self) -> float | None:
+        """When the first held frame falls due (None: none is held)."""
+        return min((when for when, _ in self._held), default=None)
+
     def due(self, now: float) -> list[bytes]:
         """Delayed frames whose release time has arrived."""
         if not self._held:
@@ -215,7 +219,10 @@ class FramedConn:
 
     @property
     def want_write(self) -> bool:
-        return bool(self._out) or bool(self.faults and self.faults._held)
+        """Whether bytes wait for the socket to take them (a frame a
+        delay fault holds is not output yet: it falls due at
+        :meth:`NetFaultFilter.next_release`)."""
+        return bool(self._out)
 
     def receive(self) -> list[object]:
         """The complete messages currently readable, up to

@@ -30,8 +30,9 @@ Two entry modes drive one :class:`~repro.serve.net.router.Router`:
   it would grow without bound.  Nor is a
   client read more than one maximum-size frame ahead: TCP pushes back.
   The loop blocks only in the router's one wait, which also watches the
-  listening socket and every client with nothing waiting, so a request
-  is served on arrival.
+  listening socket, every client with nothing waiting, and every client
+  with replies still unsent for writability, so a request is served on
+  arrival and an idle front door takes no CPU.
 
 :class:`FrontDoorClient` is the matching blocking client.
 """
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import selectors
 import socket
 import struct
 
@@ -221,8 +223,15 @@ class FrontDoor:
                 if not moved:
                     # A waiting client is read no further, so only an
                     # ack or a report (on a link) can move it along.
-                    router.wait([lsock, *(c.sock for c in clients
-                                          if c.waiting is None)])
+                    watch = [(lsock, selectors.EVENT_READ)]
+                    for c in clients:
+                        events = (
+                            (selectors.EVENT_READ if c.waiting is None else 0)
+                            | (selectors.EVENT_WRITE if c.want_write else 0)
+                        )
+                        if events:
+                            watch.append((c.sock, events))
+                    router.wait(watch)
         finally:
             lsock.close()
             router.shutdown()

@@ -47,12 +47,16 @@ hang, ...) do not fire in the passthrough.
 The drive loop and the listen-mode front door block only in
 :meth:`Router.wait`, on the router's one selector: a link's socket is
 registered while the link is open, and the front door's sockets for the
-one wait that watches them.  A worker blocks on its link and exits on
-EOF: when :meth:`Router.shutdown` closes the link, or when the router
-dies.  Drive mode sends every resume before it builds any stream, so
-the workers fit their models while the router builds.  A route's
-batches go out in group frames, each group packed into four raw
-columns (:func:`~repro.serve.net.worker.encode_group`).
+one wait that watches them.  The wait never polls: it ends when a
+socket turns readable, or writable while it has output queued, or at
+the earliest time something falls due — a deadline of a route a worker
+hosts, a backoff running out, or a frame a delay fault holds back — and
+with nothing due it blocks until a socket is ready.  A worker blocks on
+its link and exits on EOF: when :meth:`Router.shutdown` closes the
+link, or when the router dies.  Drive mode sends every resume before it
+builds any stream, so the workers fit their models while the router
+builds.  A route's batches go out in group frames, each group packed
+into four raw columns (:func:`~repro.serve.net.worker.encode_group`).
 
 A replica group (``--replicas K``) is K routes over one cluster's
 stream, each opened with its slice of it
@@ -92,8 +96,6 @@ from .worker import encode_group, worker_main
 __all__ = ["NetConfig", "NetStats", "Router", "RouteState", "WorkerLink",
            "shard_order"]
 
-#: the longest :meth:`Router.wait` blocks when no socket turns readable
-POLL_S = 0.005
 #: deadline for a resume or a finish reply (the worker fits models, or
 #: closes its session, before replying)
 RESUME_DEADLINE_S = 600.0
@@ -327,8 +329,10 @@ class Router:
 
     def step(self) -> bool:
         """One pump: drain links, advance routes, enforce deadlines.
-        Returns whether any message moved (the idle signal its callers
-        use to decide between stepping again and :meth:`wait`)."""
+        Returns whether any message moved or any route stalled (the idle
+        signal its callers use to decide between stepping again and
+        :meth:`wait`; a stalled route may have just turned local, and
+        only a step serves it)."""
         now = time.monotonic()
         busy = False
         for link in list(self.links.values()):
@@ -354,26 +358,42 @@ class Router:
                 and now > route.deadline
             ):
                 self._route_stalled(route, now)
+                busy = True
         return busy
 
-    def wait(self, socks=()) -> None:
-        """Block until a live link socket or one of ``socks`` turns
-        readable, or :data:`POLL_S` elapses: a caller whose step moved
-        nothing wakes on the next ack or request instead of sleeping
-        blind.  The links stay registered in the router's one selector
-        (not ``select.select``, so descriptor numbers past
-        ``FD_SETSIZE`` work); ``socks`` are registered for this wait
-        only."""
+    def wait(self, watch=()) -> None:
+        """Block until a live link or one of ``watch``'s ``(sock,
+        events)`` pairs is ready, or until the earliest due time: the
+        deadline of a route a worker hosts, a backoff still in the
+        future, or the release of a frame a delay fault holds.  A link
+        with unsent output also waits to be writable.  With nothing due
+        it blocks until a socket is ready.  The links stay registered in
+        the router's one selector (not ``select.select``, so descriptor
+        numbers past ``FD_SETSIZE`` work); ``watch`` is registered for
+        this wait only."""
+        now = time.monotonic()
+        due = []
+        for route in self.routes.values():
+            if route.phase in _ON_WORKER:
+                if route.deadline is not None:
+                    due.append(route.deadline)
+                if route.backoff_until > now:
+                    due.append(route.backoff_until)
         sel = self._sel
-        for sock in socks:
-            sel.register(sock, selectors.EVENT_READ)
+        for link in self.links.values():
+            if link.alive:
+                conn = link.conn
+                sel.modify(conn.sock, selectors.EVENT_READ
+                           | (selectors.EVENT_WRITE if conn.want_write else 0))
+                held = conn.faults.next_release()
+                if held is not None:
+                    due.append(held)
+        for sock, events in watch:
+            sel.register(sock, events)
         try:
-            if sel.get_map():
-                sel.select(POLL_S)
-            else:
-                time.sleep(POLL_S)
+            sel.select(max(0.0, min(due) - now) if due else None)
         finally:
-            for sock in socks:
+            for sock, _ in watch:
                 sel.unregister(sock)
 
     def drive(self) -> tuple[list, NetStats]:
@@ -399,10 +419,9 @@ class Router:
             route.total = len(route.batches)
         try:
             while not self.done():
-                # Back off only when a step moved nothing: while acks
-                # are streaming, polling again immediately keeps the
-                # in-flight window full instead of draining it 5 ms at
-                # a time.
+                # Wait only when a step moved nothing: while acks are
+                # streaming, stepping again at once keeps the in-flight
+                # window full.
                 if not self.step():
                     self.wait()
         finally:
@@ -457,9 +476,7 @@ class Router:
             route.deadline = now + self.cfg.rpc_deadline_s
         elif op == "report":
             if route.phase == "finishing":
-                report, snap = obs.split_carrier(msg["report"])
-                obs.merge_snapshot(snap)
-                self._deliver(route, report)
+                self._deliver(route, obs.absorb_result(msg["report"]))
 
     def _deliver(self, route: RouteState, report) -> None:
         """The route's current attempt produced its report."""

@@ -36,19 +36,20 @@ Fault tolerance (two independent planes):
   checkpoint_sink=sink)`` emits a :class:`ShardCheckpoint` every K
   micro-batches: the batch cursor plus the server's attributes (update
   engine with its orchestrator and services, demand series, DRS
-  controller, ladder position) and the loop state (counters, decision
-  digests), pickled as they are.  A bare server resumed via ``run(...,
-  resume=ckpt)`` replays the remaining batches and produces a report
-  whose :meth:`ShardReport.parity_dict` is byte-identical to a
-  never-failed run — the crash-recovery parity guarantee the chaos
-  tests enforce.
+  controller, degradation counts with the ladder position) and the loop
+  state (counters, decision digests), pickled as they are.  A bare
+  server resumed via ``run(..., resume=ckpt)`` replays the remaining
+  batches and produces a report whose :meth:`ShardReport.parity_dict`
+  is byte-identical to a never-failed run — the crash-recovery parity
+  guarantee the chaos tests enforce.
 * **Graceful degradation** — a *model* failure (a refit or forecast
   raising mid-stream) must not kill the shard.  QSSF failures step a
   one-rung-at-a-time ladder: incremental refits → scratch refits →
   a rolling-only estimator (``lam=1.0``) → FIFO passthrough.  CES
   failures drop node control to always-on (forecast = every node).
   Decisions keep flowing at every rung; every degraded decision is
-  counted in ``ShardReport.degraded``.  *Data corruption* (non-finite
+  counted in ``ShardReport.degraded``, whose ``qssf_rung``/``ces_rung``
+  entries are the ladder position itself.  *Data corruption* (non-finite
   demand, finish-before-submit) is the opposite case: it raises loudly
   rather than degrading, because serving garbage quietly is worse than
   stopping.
@@ -80,7 +81,7 @@ from ..ml.gbdt import GBDTParams
 from ..obs import collect as obs
 from ..obs.metrics import Histogram
 from .stream import FINISH, NODE_FAIL, NODE_SAMPLE, SUBMIT, EventStream
-from .telemetry import LatencyRecorder, LatencyStats
+from .telemetry import LatencyStats
 
 __all__ = [
     "PredictionServer",
@@ -316,6 +317,7 @@ def _fresh_loop_state() -> dict[str, Any]:
         "cursor": 0,
         "counts": {SUBMIT: 0, FINISH: 0, NODE_SAMPLE: 0, NODE_FAIL: 0},
         "qssf_batches": 0,
+        "qssf_decisions": 0,
         "duration_requests": 0,
         "qssf_bytes": bytearray(),
         "decisions": [],
@@ -346,11 +348,10 @@ class PredictionServer:
         )
         self._ces_series: _GrowingSeries | None = None
         self._ces_controller: DRSController | None = None
-        self._vc_decisions = 0
-        #: degradation ladder position (index into :data:`QSSF_LADDER`)
-        self._qssf_rung = 0
-        self._ces_degraded = False
-        #: degradation telemetry, copied into the shard report
+        #: degradation telemetry, copied into the shard report; its
+        #: ``qssf_rung`` (an index into :data:`QSSF_LADDER`) and
+        #: ``ces_rung`` entries, absent while healthy, are the ladder
+        #: position
         self.degraded: dict[str, int] = {}
 
     @property
@@ -420,9 +421,9 @@ class PredictionServer:
         without being listed anywhere.  A GBDT pickles whole, with its
         continuation buffers, so a restored shard's models continue
         incremental boosting exactly where the checkpointed ones stood.
-        Wall-clock telemetry (latency recorders) lives on the session
-        and is deliberately *not* checkpointed — it is excluded from the
-        parity surface.
+        Wall-clock telemetry (the latency histograms) lives on the
+        session and is deliberately *not* checkpointed — it is excluded
+        from the parity surface.
         """
         blob = pickle.dumps((self.__dict__, state))
         return ShardCheckpoint(
@@ -444,7 +445,7 @@ class PredictionServer:
     def _degrade_qssf(self) -> None:
         """Step the QSSF ladder exactly one rung (jump to passthrough if
         even the fallback install fails)."""
-        rung = min(self._qssf_rung + 1, len(QSSF_LADDER) - 1)
+        rung = min(self.degraded.get("qssf_rung", 0) + 1, len(QSSF_LADDER) - 1)
         try:
             if rung == 1:
                 # Incremental refits implicated: scratch refits only.
@@ -464,13 +465,11 @@ class PredictionServer:
         except Exception:
             rung = len(QSSF_LADDER) - 1
             self.engine.swap("qssf", PassthroughQueueService())
-        self._qssf_rung = rung
         self.degraded["qssf_rung"] = rung
         obs.counter_add("serve.degrade.qssf_transitions")
 
     def _degrade_ces(self) -> None:
         """Drop CES node control to always-on (forecast = every node)."""
-        self._ces_degraded = True
         self.degraded["ces_rung"] = 1
         obs.counter_add("serve.degrade.ces_transitions")
 
@@ -517,8 +516,7 @@ class PredictionServer:
             session.process(bi, batch)
         return session.finish()
 
-    def _publish_obs(self, state: dict, report: ShardReport,
-                     qssf_lat: LatencyRecorder, ces_lat: LatencyRecorder) -> None:
+    def _publish_obs(self, state: dict, report: ShardReport) -> None:
         """Publish this run's metrics into the global obs recorder.
 
         Counters are derived from the *checkpointed* loop state and the
@@ -539,7 +537,7 @@ class PredictionServer:
         obs.counter_add("serve.events.node_sample", counts[NODE_SAMPLE])
         obs.counter_add("serve.events.node_fail", counts[NODE_FAIL])
         obs.counter_add("serve.qssf.batches", state["qssf_batches"])
-        obs.counter_add("serve.qssf.decisions", self._vc_decisions)
+        obs.counter_add("serve.qssf.decisions", state["qssf_decisions"])
         obs.counter_add("serve.duration_requests", state["duration_requests"])
         obs.counter_add("serve.checkpoints", state["ckpt_seq"])
         for service, counters in report.refits.items():
@@ -556,8 +554,10 @@ class PredictionServer:
             else:
                 obs.counter_add(f"serve.node.{key}", n)
         obs.gauge_set(f"serve.events_per_s[{c}]", round(report.events_per_s, 1))
-        obs.merge_histogram("serve.qssf.decide_s", qssf_lat.hist)
-        obs.merge_histogram("serve.ces.step_s", ces_lat.hist)
+        obs.merge_snapshot(obs.ObsSnapshot(histograms={
+            "serve.qssf.decide_s": report.qssf_hist,
+            "serve.ces.step_s": report.ces_hist,
+        }))
 
     # -- request routes ------------------------------------------------
 
@@ -570,7 +570,6 @@ class PredictionServer:
             groups.setdefault(str(vc), []).append(i)
         states = [queue.take(np.asarray(idx)) for idx in groups.values()]
         ordered = self.orchestrator.decide_many("qssf", states)
-        self._vc_decisions += len(states)
         return [
             (vc, tuple(str(j) for j in table["job_id"]))
             for vc, table in zip(groups, ordered)
@@ -594,14 +593,13 @@ class PredictionServer:
         groups: dict[str, list[str]] = {}
         for vc, jid in zip(vcs, ids):
             groups.setdefault(str(vc), []).append(str(jid))
-        self._vc_decisions += len(groups)
         return [(vc, tuple(jids)) for vc, jids in groups.items()]
 
     def _predict_durations(self, queue: Table) -> np.ndarray:
         """The duration-prediction route (expected GPU time per job)."""
         return self.orchestrator.service("qssf").predict(queue)
 
-    def _serve_node_samples(self, stream, batch, ces_lat: LatencyRecorder) -> None:
+    def _serve_node_samples(self, stream, batch, ces_hist: Histogram) -> None:
         series = self._ces_series
         controller = self._ces_controller
         if series is None or controller is None:
@@ -621,7 +619,7 @@ class PredictionServer:
             arr = float(arrivals[b]) if arrivals is not None else 0.0
             t0 = time.perf_counter()
             i = series.append(value)
-            if self._ces_degraded:
+            if "ces_rung" in self.degraded:
                 fc = always_on
                 self._count_degraded("ces_steps")
             else:
@@ -636,8 +634,8 @@ class PredictionServer:
                     fc = always_on
                     self._count_degraded("ces_steps")
             controller.step(value, fc, arr)
-            ces_lat.record(time.perf_counter() - t0)
-            if self.config.online_updates and not self._ces_degraded:
+            ces_hist.record(time.perf_counter() - t0)
+            if self.config.online_updates and "ces_rung" not in self.degraded:
                 try:
                     self.engine.observe("ces", value, now=float(batch.time))
                 except Exception:
@@ -649,11 +647,12 @@ class ServingSession:
     """Push-driven serving loop state: feed micro-batches one at a time.
 
     Owns everything :meth:`PredictionServer.run` used to keep as locals
-    — the loop-state dict, latency recorders, phase-timing buffers and
-    checkpoint cadence — so a caller that *receives* batches (the
-    serve-net socket worker, fed frame-by-frame by the router, and the
-    router's own in-process passthrough) drives the exact loop ``run``
-    drives when it owns the stream.  ``run`` is the wrapper: construct
+    — the loop-state dict (every count the report gives), the two
+    latency histograms, phase-timing buffers and checkpoint cadence —
+    so a caller that *receives* batches (the serve-net socket worker,
+    fed frame-by-frame by the router, and the router's own in-process
+    passthrough) drives the exact loop ``run`` drives when it owns the
+    stream.  ``run`` is the wrapper: construct
     a session, push every batch from ``stream.play``, call
     :meth:`finish` — so every parity guarantee (crash recovery,
     degradation telemetry, obs totals) holds for every entry point by
@@ -692,8 +691,8 @@ class ServingSession:
             self.state = _fresh_loop_state()
             if len(stream):
                 server.engine.reset_clock(float(stream.times[0]))
-        self._qssf_lat = LatencyRecorder()
-        self._ces_lat = LatencyRecorder()
+        self._qssf_hist = Histogram()
+        self._ces_hist = Histogram()
         self._jobs_table = stream.jobs
 
         # One hoisted enabled-check: the per-batch cost of disabled obs
@@ -743,8 +742,9 @@ class ServingSession:
             queue = self._jobs_table.take(batch.refs)
             t0 = time.perf_counter()
             ordered = server._order_with_fallback(queue)
-            self._qssf_lat.record(time.perf_counter() - t0)
-            if server._qssf_rung:
+            self._qssf_hist.record(time.perf_counter() - t0)
+            state["qssf_decisions"] += len(ordered)
+            if server.degraded.get("qssf_rung"):
                 server._count_degraded("qssf_decisions", len(ordered))
             if cfg.predict_durations:
                 try:
@@ -783,7 +783,7 @@ class ServingSession:
                     state["down_now"] += 1
                     state["max_down"] = max(state["max_down"], state["down_now"])
         else:  # NODE_SAMPLE
-            server._serve_node_samples(self.stream, batch, self._ces_lat)
+            server._serve_node_samples(self.stream, batch, self._ces_hist)
         state["cursor"] = bi + 1
         if self._phase_hists is not None:
             self._phase_buf[batch.kind].append(time.perf_counter() - t_batch)
@@ -867,12 +867,12 @@ class ServingSession:
             finishes=counts[FINISH],
             node_samples=counts[NODE_SAMPLE],
             qssf_batches=state["qssf_batches"],
-            qssf_decisions=server._vc_decisions,
+            qssf_decisions=state["qssf_decisions"],
             duration_requests=state["duration_requests"],
             wall_seconds=wall,
             events_per_s=events / wall if wall > 0 else 0.0,
-            qssf_latency=self._qssf_lat.stats(),
-            ces_latency=self._ces_lat.stats(),
+            qssf_latency=LatencyStats.from_histogram(self._qssf_hist),
+            ces_latency=LatencyStats.from_histogram(self._ces_hist),
             refits=refits,
             qssf_digest=hashlib.sha256(bytes(state["qssf_bytes"])).hexdigest(),
             ces_digest=ces_digest.hexdigest(),
@@ -887,11 +887,11 @@ class ServingSession:
             ces_active=ces_active,
             degraded=dict(server.degraded),
             node_health=node_health,
-            qssf_hist=self._qssf_lat.hist,
-            ces_hist=self._ces_lat.hist,
+            qssf_hist=self._qssf_hist,
+            ces_hist=self._ces_hist,
         )
         if self._phase_hists is not None:
-            server._publish_obs(state, report, self._qssf_lat, self._ces_lat)
+            server._publish_obs(state, report)
             obs.record_span(
                 "serve.run", self._span_t0, obs.wall_now(),
                 cluster=self.stream.cluster, events=events,

@@ -1,26 +1,23 @@
 """Per-shard serving telemetry: throughput and decision-latency stats.
 
 The serving loop records one latency sample per decision (a QSSF
-micro-batch ordering or a CES control step).  :class:`LatencyRecorder`
-feeds a bounded log-binned :class:`~repro.obs.metrics.Histogram` —
-O(1) memory however long the stream runs, and mergeable, so the fleet
-rollup in :func:`aggregate_reports` computes p50/p99 over the *merged*
+micro-batch ordering or a CES control step) into a plain bounded
+:class:`~repro.obs.metrics.Histogram` — O(1) memory however long the
+stream runs, and mergeable, so the fleet rollup in
+:func:`aggregate_reports` computes p50/p99 over the *merged*
 cross-shard distribution instead of discarding per-shard percentiles.
-:class:`LatencyStats` stays the JSON-ready summary (p50/p99/mean in
-milliseconds) the shard reports and the benchmark suite's BENCH lines
-carry.
+:class:`LatencyStats` is the JSON-ready summary (p50/p99/mean in
+milliseconds) of one histogram that the shard reports and the
+benchmark suite's BENCH lines carry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..obs.metrics import Histogram
 
 __all__ = [
-    "LatencyRecorder",
     "LatencyStats",
     "aggregate_reports",
     "parity_surface",
@@ -35,19 +32,6 @@ class LatencyStats:
     p50_ms: float
     p99_ms: float
     mean_ms: float
-
-    @classmethod
-    def from_seconds(cls, samples: "list[float] | np.ndarray") -> "LatencyStats":
-        arr = np.asarray(samples, dtype=float)
-        if arr.size == 0:
-            return cls(count=0, p50_ms=0.0, p99_ms=0.0, mean_ms=0.0)
-        ms = arr * 1e3
-        return cls(
-            count=int(arr.size),
-            p50_ms=float(np.percentile(ms, 50)),
-            p99_ms=float(np.percentile(ms, 99)),
-            mean_ms=float(ms.mean()),
-        )
 
     @classmethod
     def from_histogram(cls, hist: Histogram) -> "LatencyStats":
@@ -70,24 +54,6 @@ class LatencyStats:
             "p99_ms": round(self.p99_ms, 4),
             "mean_ms": round(self.mean_ms, 4),
         }
-
-
-class LatencyRecorder:
-    """Collects per-decision wall latencies for one request route.
-
-    Bounded: samples stream into a log-binned histogram instead of the
-    pre-obs unbounded ``list[float]``; ``hist`` is mergeable across
-    shards/processes.
-    """
-
-    def __init__(self) -> None:
-        self.hist = Histogram()
-
-    def record(self, seconds: float) -> None:
-        self.hist.record(seconds)
-
-    def stats(self) -> LatencyStats:
-        return LatencyStats.from_histogram(self.hist)
 
 
 def parity_surface(reports) -> bytes:

@@ -145,22 +145,22 @@ class TestDegradationLadder:
 
     def test_ladder_steps_in_order_and_sticks(self, task):
         server, _ = build_shard(task)
-        assert server._qssf_rung == 0
+        assert "qssf_rung" not in server.degraded  # healthy
         server._degrade_qssf()
-        assert server._qssf_rung == 1
+        assert server.degraded.get("qssf_rung", 0) == 1
         assert isinstance(server.orchestrator.service("qssf"), QSSFService)
         assert server.orchestrator.service("qssf").refit_mode == "scratch"
         server._degrade_qssf()
-        assert server._qssf_rung == 2
+        assert server.degraded.get("qssf_rung", 0) == 2
         svc = server.orchestrator.service("qssf")
         assert isinstance(svc, QSSFService) and svc.lam == 1.0
         server._degrade_qssf()
-        assert server._qssf_rung == 3
+        assert server.degraded.get("qssf_rung", 0) == 3
         assert isinstance(
             server.orchestrator.service("qssf"), PassthroughQueueService
         )
         server._degrade_qssf()  # beyond the last rung: sticks
-        assert server._qssf_rung == 3
+        assert server.degraded.get("qssf_rung", 0) == 3
 
     def test_fifo_passthrough_still_orders(self, task, baseline):
         """Even at the last rung the stream is served to exhaustion."""
@@ -222,7 +222,7 @@ class TestDegradationLadder:
             server.engine.observe("qssf", row, now=0.0)
         server._degrade_qssf()
         server._degrade_qssf()
-        assert server._qssf_rung == 2
+        assert server.degraded.get("qssf_rung", 0) == 2
         for row in rows[6:]:
             server.engine.observe("qssf", row, now=0.0)
 

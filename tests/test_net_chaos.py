@@ -407,6 +407,22 @@ class TestNetParity:
         assert stats.gap_rewinds >= 1
         assert stats.reroutes == 0  # recovered without touching the ladder
 
+    def test_held_frame_goes_out_when_its_delay_ends(self, baseline,
+                                                    monkeypatch):
+        # A frame a delay fault holds is a due time of the router's
+        # wait.  Holding the resume, the one frame in flight, for 1 s
+        # stalls nothing: it goes out when the second is up, well
+        # before the (shortened) resume deadline would send it again.
+        import repro.serve.net.router as router_mod
+
+        monkeypatch.setattr(router_mod, "RESUME_DEADLINE_S", 5.0)
+        plan = FaultPlan(seed=3, faults=(
+            FaultSpec(key="link:w0", kind="delay", at=0, delay_s=1.0),
+        ))
+        reports, stats = _serve_net(["Venus"], workers=1, fault_plan=plan)
+        assert parity_surface(reports) == baseline[0].parity_bytes()
+        assert (stats.retries, stats.reroutes) == (0, 0)
+
     def test_sigkill_and_partition_chaos_parity(self, baseline):
         # The headline: SIGKILL Venus's worker mid-stream AND partition
         # Earth's link indefinitely; both shards reroute/respawn from
@@ -580,13 +596,10 @@ class TestListenMode:
         reports, _ = out["result"]
         assert parity_surface(reports) == baseline[0].parity_bytes()
 
-    def test_client_requests_do_not_wait_out_the_poll(self, monkeypatch):
+    def test_client_requests_do_not_wait_out_the_poll(self):
         """The front door blocks in the router's one wait, which watches
-        the clients too: a request is served when it arrives, not when
-        the poll interval runs out."""
-        import repro.serve.net.router as router_mod
-
-        monkeypatch.setattr(router_mod, "POLL_S", 1.0)
+        the clients too: a request is served when it arrives.  Nothing
+        else would wake the wait, since it has no poll interval."""
         door = FrontDoor([_task("Venus")], net=NetConfig(workers=1, **FAST_NET))
         server, _ = _listen(door)
         client = FrontDoorClient("127.0.0.1", door.port)
@@ -602,7 +615,30 @@ class TestListenMode:
             client.close()
         server.join(timeout=60.0)
         assert not server.is_alive()
-        assert elapsed < 5.0  # waiting out each 1 s poll takes ~20 s
+        assert elapsed < 5.0  # 20 round trips, each served on arrival
+
+    def test_idle_front_door_does_not_step(self):
+        """A listening front door with no client and no shard blocks in
+        its wait until something arrives: it steps its router a handful
+        of times in a second, not once per poll interval."""
+        door = FrontDoor([_task("Venus")], net=NetConfig(workers=1, **FAST_NET))
+        steps = []
+        step = door.router.step
+        door.router.step = lambda: steps.append(1) or step()
+        server, _ = _listen(door)
+        time.sleep(1.0)
+        idle_steps = len(steps)
+        client = FrontDoorClient("127.0.0.1", door.port)
+        try:
+            assert client.request({"op": "open", "cluster": "Venus"})[
+                "op"] == "opened"
+            assert client.request({"op": "close", "cluster": "Venus"})[
+                "total"] == 0
+        finally:
+            client.close()
+        server.join(timeout=60.0)
+        assert not server.is_alive()
+        assert idle_steps <= 5, idle_steps
 
     def test_client_that_never_reads_is_dropped(self, baseline):
         """A client that keeps sending requests but never reads a reply
@@ -1374,6 +1410,35 @@ class TestPassthrough:
         assert parity_surface(reports) == baseline[0].parity_bytes()
         assert stats.passthroughs == 1
         assert stats.frames_sent == 0
+
+    @needs_fork
+    def test_unreachable_worker_falls_back_to_the_passthrough(
+            self, baseline, monkeypatch):
+        # Every epoch of the one link is partitioned from its first
+        # frame, so each resume stalls at its deadline until the budget
+        # is spent and the route turns local in the step's deadline
+        # check.  That step counts as busy, so the passthrough serves
+        # the route next, instead of a wait with nothing left to watch.
+        import repro.serve.net.router as router_mod
+
+        monkeypatch.setattr(router_mod, "RESUME_DEADLINE_S", 0.3)
+        plan = FaultPlan(seed=5, faults=tuple(
+            FaultSpec(key="link:w0", kind="partition", attempt=epoch, at=0,
+                      span=100_000)
+            for epoch in range(3)
+        ))
+        out = {}
+        drive = threading.Thread(
+            target=lambda: out.update(result=_serve_net(
+                ["Venus"], workers=1, fault_plan=plan)),
+            daemon=True,
+        )
+        drive.start()
+        drive.join(timeout=60.0)
+        assert not drive.is_alive(), "the router waited with nothing due"
+        reports, stats = out["result"]
+        assert parity_surface(reports) == baseline[0].parity_bytes()
+        assert (stats.respawns, stats.passthroughs) == (2, 1)
 
     @pytest.mark.parametrize("fork", [
         pytest.param(True, marks=needs_fork, id="fork"),

@@ -19,7 +19,7 @@ from repro import obs
 from repro.framework.parallel import fork_available, run_forked
 from repro.obs.__main__ import main as obs_main
 from repro.obs.metrics import Histogram
-from repro.serve.telemetry import LatencyRecorder, LatencyStats, aggregate_reports
+from repro.serve.telemetry import LatencyStats, aggregate_reports
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="requires os.fork")
 
@@ -160,14 +160,6 @@ class TestCarrier:
         assert obs.carry_result(payload) is payload
         assert obs.absorb_result(payload) is payload
 
-    def test_split_carrier_defers_merge(self):
-        obs.enable()
-        obs.counter_add("n", 1)
-        result, snap = obs.split_carrier(obs.carry_result("r"))
-        assert result == "r"
-        assert snap is not None and snap.counters["n"] == 1
-        assert obs.snapshot().empty  # caller decides whether to merge
-
     @needs_fork
     def test_forked_pool_piggybacks_worker_metrics(self):
         obs.enable()
@@ -269,12 +261,12 @@ class TestCLI:
 
 class TestLatencyFromHistogram:
     def test_stats_derived_from_histogram(self):
-        rec = LatencyRecorder()
+        hist = Histogram()
         for _ in range(100):
-            rec.record(0.002)
+            hist.record(0.002)
         for _ in range(5):
-            rec.record(0.050)
-        stats = rec.stats()
+            hist.record(0.050)
+        stats = LatencyStats.from_histogram(hist)
         assert stats.count == 105
         assert stats.p50_ms == pytest.approx(2.0, rel=0.08)
         assert stats.p99_ms == pytest.approx(50.0, rel=0.08)
@@ -288,10 +280,9 @@ class TestLatencyFromHistogram:
                 self.qssf_decisions = 0
                 self.node_samples = 0
                 self.refits = {}
-                rec = LatencyRecorder()
+                self.qssf_hist = Histogram()
                 for s in seconds:
-                    rec.record(s)
-                self.qssf_hist = rec.hist
+                    self.qssf_hist.record(s)
                 self.ces_hist = None
 
         # One fast shard, one slow shard: the merged p99 must reflect the
@@ -322,6 +313,9 @@ class TestLatencyFromHistogram:
 
 
 class TestRegistryMerge:
+    """The recorder's one live state: ``snapshot`` copies it, ``drain``
+    hands it off, ``merge_snapshot`` folds a snapshot into it."""
+
     def test_merge_snapshot_accumulates(self):
         obs.enable()
         obs.counter_add("c", 2)
@@ -336,3 +330,38 @@ class TestRegistryMerge:
         again = obs.histogram("depth", lo=99.0)  # geometry ignored: exists
         assert again is h
         assert h.lo == 1.0 and h.hi == pytest.approx(1e6)
+
+    def test_snapshot_is_a_copy(self):
+        obs.enable()
+        obs.counter_add("c", 1)
+        obs.histogram("h").record(1.0)
+        snap = obs.snapshot()
+        obs.counter_add("c", 1)
+        obs.histogram("h").record(2.0)
+        assert snap.counters["c"] == 1 and snap.histograms["h"].count == 1
+        assert obs.snapshot().counters["c"] == 2
+
+    def test_drain_hands_off_the_live_state(self):
+        """A histogram handle taken before a drain records into the
+        drained snapshot; the recorder starts over empty."""
+        obs.enable()
+        hist = obs.histogram("lat_s")
+        obs.counter_add("c", 2)
+        drained = obs.drain()
+        hist.record(0.5)
+        assert drained.counters == {"c": 2}
+        assert drained.histograms["lat_s"] is hist and hist.count == 1
+        assert obs.snapshot().empty
+
+    def test_span_open_across_a_drain_closes_into_the_new_state(self):
+        obs.enable()
+        with obs.trace("outer"):
+            with obs.trace("inner"):
+                drained = obs.drain()
+        assert drained.spans == []
+        spans = {s.name: s for s in obs.snapshot().spans}
+        assert set(spans) == {"outer", "inner"}
+        assert spans["inner"].parent_id == spans["outer"].span_id
+        with obs.trace("after"):
+            pass
+        assert obs.snapshot().spans[-1].parent_id is None  # stack unwound

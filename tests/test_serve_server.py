@@ -342,6 +342,23 @@ class TestRoutes:
         assert report.qssf_latency.count == report.qssf_batches > 0
         assert report.qssf_latency.p99_ms >= report.qssf_latency.p50_ms >= 0
 
+    def test_a_second_run_counts_only_its_own_decisions(self):
+        """Every count a report gives lives in the run's loop state, so
+        a server run twice over one stream reports the same decision
+        count both times (the decision count once carried over)."""
+        from repro.experiments.serving import smoke_serve_config
+        from repro.serve import ShardTask, build_shard
+
+        server, stream = build_shard(ShardTask(
+            cluster="Venus", config=smoke_serve_config(), history_days=14,
+            stream_days=1.0, max_jobs=300,
+        ))
+        first = server.run(stream)
+        second = server.run(stream)
+        assert first.qssf_decisions > first.qssf_batches > 0
+        assert (second.qssf_batches, second.qssf_decisions) == (
+            first.qssf_batches, first.qssf_decisions)
+
 
 # ----------------------------------------------------------------------
 # fleet telemetry rollup

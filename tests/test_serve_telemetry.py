@@ -2,11 +2,10 @@
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
+from repro.obs.metrics import Histogram
 from repro.serve import LatencyStats, aggregate_reports
-from repro.serve.telemetry import LatencyRecorder
 
 
 def _report(cluster="Venus", events=10, wall=1.0, decisions=3, samples=2,
@@ -26,29 +25,28 @@ def _report(cluster="Venus", events=10, wall=1.0, decisions=3, samples=2,
 
 class TestLatencyStats:
     def test_empty_samples_all_zero(self):
-        stats = LatencyStats.from_seconds([])
+        stats = LatencyStats.from_histogram(Histogram())
         assert stats == LatencyStats(count=0, p50_ms=0.0, p99_ms=0.0, mean_ms=0.0)
         assert stats.as_dict() == {
             "count": 0, "p50_ms": 0.0, "p99_ms": 0.0, "mean_ms": 0.0,
         }
 
-    def test_empty_ndarray(self):
-        stats = LatencyStats.from_seconds(np.array([]))
-        assert stats.count == 0 and stats.mean_ms == 0.0
-
     def test_single_sample(self):
-        stats = LatencyStats.from_seconds([0.002])
+        hist = Histogram()
+        hist.record(0.002)
+        # One sample: every quantile clamps to it, so all three are exact.
+        stats = LatencyStats.from_histogram(hist)
         assert stats.count == 1
         assert stats.p50_ms == pytest.approx(2.0)
         assert stats.p99_ms == pytest.approx(2.0)
         assert stats.mean_ms == pytest.approx(2.0)
 
     def test_recorder_round_trip(self):
-        rec = LatencyRecorder()
-        assert rec.stats().count == 0
+        hist = Histogram()
+        assert LatencyStats.from_histogram(hist).count == 0
         for s in (0.001, 0.003, 0.002):
-            rec.record(s)
-        stats = rec.stats()
+            hist.record(s)
+        stats = LatencyStats.from_histogram(hist)
         assert stats.count == 3
         # Quantiles come out of the log-binned histogram: exact to its
         # ~±4% bin resolution, not to the float.
