@@ -10,10 +10,12 @@ Like the simulator (``sim/fast.py``) the fit path has two modes:
 ``mode="fast"`` (default) builds a :class:`~repro.ml.tree.HistogramCache`
 over the binned training matrix once per boosting call (``fit``, or a
 ``fit_more`` that adds stages) and reuses it across that call's stages,
-driving the fused single-``bincount`` split search;
-``mode="reference"`` runs the scratch per-feature histogram loop.  Both
-produce byte-identical ensembles — the reference path is the oracle the
-parity tests and benchmarks compare against.
+driving the fused per-level split search, and each stage adds to the
+training predictions the value of the leaf each row reached while its
+tree grew; ``mode="reference"`` runs the scratch per-feature histogram
+loop and walks each new tree over the training matrix.  Both produce
+byte-identical ensembles — the reference path is the oracle the parity
+tests and benchmarks compare against.
 
 Prediction walks every tree at once.  The model keeps its trees packed
 in one :class:`~repro.ml.tree.NodeTable` (``fit`` resets it, each
@@ -185,9 +187,12 @@ class GBDTRegressor:
 
         Each stage fits a tree to the residuals (optionally
         row-subsampled), advances ``pred`` in place, records the tree
-        and its training MSE, and yields the tree.  The fast path's
-        :class:`HistogramCache` over ``Xb`` is built at the first stage
-        and lives as long as the generator: one boosting call.
+        and its training MSE, and yields the tree.  Without subsampling
+        ``pred`` advances by :meth:`RegressionTree.fit_predict`'s values,
+        read at the leaves rows reached while the tree grew; a
+        subsampled stage walks the tree over every row.  The fast
+        path's :class:`HistogramCache` over ``Xb`` is built at the first
+        stage and lives as long as the generator: one boosting call.
         """
         p = self.params
         tree_params = TreeParams(
@@ -198,19 +203,18 @@ class GBDTRegressor:
         n = y.shape[0]
         while True:
             residual = y - pred
-            idx = None
+            tree = RegressionTree(tree_params)
             if p.subsample < 1.0:
                 k = max(1, int(round(p.subsample * n)))
                 idx = rng.choice(n, size=k, replace=False)
-            tree = RegressionTree(tree_params).fit(
-                Xb,
-                residual,
-                sample_indices=idx,
-                n_bins=n_bins,
-                mode=self.mode,
-                cache=cache,
-            )
-            pred += p.learning_rate * tree.predict_binned(Xb)
+                tree.fit(Xb, residual, sample_indices=idx, n_bins=n_bins,
+                         mode=self.mode, cache=cache)
+                # Rows outside the sample reached no leaf while it grew.
+                step = tree.predict_binned(Xb)
+            else:
+                step = tree.fit_predict(Xb, residual, n_bins=n_bins,
+                                        mode=self.mode, cache=cache)
+            pred += p.learning_rate * step
             self.trees_.append(tree)
             self.train_scores_.append(float(np.mean((y - pred) ** 2)))
             yield tree

@@ -11,21 +11,31 @@ This is the LightGBM-style design the paper's GBDT [42] relies on:
    split gain is the variance-reduction form
    ``S_l²/n_l + S_r²/n_r − S²/n``.
 
-Histogram building has two implementations behind ``fit(mode=...)``,
-mirroring the fast/reference split of :mod:`repro.sim.fast`:
+Growth has two level loops behind ``fit(mode=...)``, mirroring the
+fast/reference split of :mod:`repro.sim.fast`:
 
-* ``"fast"`` (default) — one fused ``np.bincount`` pass per level keyed
-  by ``node_slot · (m · n_bins) + feature · n_bins + bin``, with the
-  per-feature key offsets precomputed once per boosting call in a
-  :class:`HistogramCache` (the binned matrix is frozen across that
-  call's stages, so the cache is built once and reused by every tree).
-* ``"reference"`` — the original per-feature Python loop (two
-  ``np.bincount`` calls per feature per level), kept verbatim as the
-  byte-parity correctness oracle.
+* ``"fast"`` (default) — each level keys every row by
+  ``node_slot · (m · n_bins) + feature · n_bins + bin`` and builds the
+  counts and residual sums of every (node, feature, bin) cell with one
+  ``np.bincount`` each.  Rows whose node is not in the frontier share a
+  spare slot whose histogram is dropped, so no level gathers the key
+  matrix.  The per-feature key offsets are precomputed once per boosting
+  call in a :class:`HistogramCache` (the binned matrix is frozen across
+  that call's stages), and the residuals are repeated across features
+  once per tree.  The split scan runs on the contiguous full-width grid,
+  a child's row count is the winning threshold's cumulative count, and
+  routing is one gather of each row's bin at its node's split feature.
+  :meth:`RegressionTree.fit_predict` returns each row's value at the
+  leaf it reached while the tree grew, so the boosting loop need not
+  walk the training matrix again.
+* ``"reference"`` — the original level loop over a per-feature Python
+  scan (two ``np.bincount`` calls per feature per level), kept verbatim
+  as the byte-parity correctness oracle.
 
 Both modes accumulate per-bin statistics in the same row order, take the
-same cumulative sums and break gain ties identically (lowest feature,
-then lowest bin), so the grown trees are bit-for-bit identical.
+same cumulative sums, compute each gain and leaf value by the same
+expression and break gain ties identically (lowest feature, then lowest
+bin), so the grown trees are bit-for-bit identical.
 
 The tree is stored as flat arrays so prediction is a vectorized walk.
 An ensemble predicts through a :class:`NodeTable`: every tree's nodes
@@ -132,7 +142,8 @@ class HistogramCache:
 
     Stores ``base[i, f] = f * n_bins + X_binned[i, f]`` so the fast fit
     path can build every (node, feature, bin) histogram of a level with
-    a single ``np.bincount`` keyed by ``slot * (m * n_bins) + base``.
+    one ``np.bincount`` per statistic keyed by ``slot * (m * n_bins) +
+    base`` (the root level's keys are ``base`` itself).
     A GBDT boosting call (``fit``, or a ``fit_more`` that adds stages)
     builds the cache once from the binned training matrix and hands it
     to each of its stages — the per-feature key arithmetic (and the
@@ -182,9 +193,10 @@ class _FlatTree:
 class RegressionTree:
     """Least-squares regression tree over pre-binned features.
 
-    ``fit`` consumes the *binned* integer matrix produced by
-    :class:`Binner`; ``predict_binned`` likewise.  The owning GBDT handles
-    raw-value binning so the edges are shared across all trees.
+    ``fit`` and ``fit_predict`` consume the *binned* integer matrix
+    produced by :class:`Binner`; ``predict_binned`` likewise.  The owning
+    GBDT handles raw-value binning so the edges are shared across all
+    trees.
     """
 
     def __init__(self, params: TreeParams | None = None) -> None:
@@ -207,12 +219,37 @@ class RegressionTree:
         e.g. ``Binner.n_bins``) skips the per-tree matrix max-scan the
         boosting loop would otherwise repeat for every stage.
 
-        ``mode`` selects the histogram builder (``"fast"`` fused pass /
+        ``mode`` selects the level loop (``"fast"`` fused pass /
         ``"reference"`` per-feature loop — bit-identical trees either
         way); ``cache`` optionally supplies the fast path's precomputed
         :class:`HistogramCache` over the *full* (pre-``sample_indices``)
         matrix, which the boosting loop reuses across stages.
         """
+        self._grow(X_binned, y, sample_indices, n_bins, mode, cache)
+        return self
+
+    def fit_predict(
+        self,
+        X_binned: np.ndarray,
+        y: np.ndarray,
+        n_bins: int | None = None,
+        mode: str = "fast",
+        cache: HistogramCache | None = None,
+    ) -> np.ndarray:
+        """Grow the tree on every row of ``X_binned`` (arguments as
+        :meth:`fit`) and return its prediction for each of those rows.
+
+        The fast path reads each row's leaf value at the leaf the row
+        reached while the tree grew; the reference path walks the grown
+        tree (:meth:`predict_binned`).  Both give the same floats.
+        """
+        leaf = self._grow(X_binned, y, None, n_bins, mode, cache)
+        if mode == "reference":
+            return self.predict_binned(X_binned)
+        return self._tree.value[leaf]
+
+    def _grow(self, X_binned, y, sample_indices, n_bins, mode, cache) -> np.ndarray:
+        """Validate, grow, and return the node each grown-on row ends in."""
         if mode not in _FIT_MODES:
             raise ValueError(f"mode must be one of {_FIT_MODES}, got {mode!r}")
         X_binned = np.asarray(X_binned)
@@ -237,6 +274,152 @@ class RegressionTree:
         self.n_features_ = m
         if n_bins is None:
             n_bins = int(X_binned.max()) + 1 if n else 1
+
+        if n == 0 or n_bins < 2:
+            # No data, or every feature landed in a single bin: stump.
+            self._finalize([-1], [-1], [-1], [-1],
+                           [float(y.mean()) if n else 0.0], [True])
+            return np.zeros(n, dtype=np.intp)
+        if mode == "reference":
+            return self._grow_reference(X_binned, y, n_bins)
+        if base is None:
+            base = X_binned.astype(np.int64) + np.arange(m, dtype=np.int64) * n_bins
+        return self._grow_fast(X_binned, y, base, n_bins)
+
+    def _grow_fast(self, X_binned, y, base, n_bins) -> np.ndarray:
+        """Level-wise growth, one fused ``bincount`` per statistic a level.
+
+        Every row is keyed at every level as ``slot · (m · n_bins) +
+        base``; a row whose node is not in the frontier takes the spare
+        slot ``k`` after it, whose histogram is dropped.  Each (slot,
+        feature, bin) cell adds its rows in row order, as the reference
+        loop does, so the sums are the same floats.  The split scan runs
+        on the full-width grid: a feature's last bin has no row on its
+        right, so it is never a valid threshold.  Child row counts come
+        from the winning threshold's cumulative count; the node's
+        residual sum stays a row-order ``bincount``.
+        """
+        p = self.params
+        msl = p.min_samples_leaf
+        n, m = X_binned.shape
+        width = m * n_bins
+        # Every child holds at least one row, so a tree has at most
+        # 2n - 1 nodes, and a depth-d tree at most 2^(d+1) - 1.
+        cap = min(2 ** (p.max_depth + 1), 2 * n) - 1
+        feature = np.full(cap, -1, np.int32)
+        thresh = np.full(cap, -1, np.int32)
+        left = np.full(cap, -1, np.int32)
+        right = np.full(cap, -1, np.int32)
+        is_leaf = np.ones(cap, bool)
+        count = np.zeros(cap, np.int64)
+        count[0] = n
+        n_nodes = 1
+
+        flat = np.ascontiguousarray(X_binned).reshape(-1)
+        row_start = np.arange(0, n * m, m)
+        w = np.repeat(y, m)  # each row's residual once per key
+        key = base  # at the root every row is in slot 0: the cache's keys
+        node_of = np.zeros(n, dtype=np.intp)
+        frontier = np.zeros(1, dtype=np.intp)
+        for depth in range(p.max_depth):
+            # Nodes with fewer than 2*min_samples_leaf rows can never
+            # satisfy a valid split (the reference scores them all -inf).
+            frontier = frontier[count[frontier] >= 2 * msl]
+            k = frontier.size
+            if not k:
+                break
+            slot_of = np.full(n_nodes, k, dtype=np.intp)
+            slot_of[frontier] = np.arange(k)
+            slots = slot_of[node_of]
+            if depth:
+                if depth == 1:
+                    key = np.empty_like(base)  # one buffer for deeper levels
+                np.add(base, (slots * width)[:, None], out=key)
+            flat_key = key.reshape(-1)
+            size = (k + 1) * width
+            cnt = np.bincount(flat_key, minlength=size)[: k * width]
+            cnt = cnt.reshape(k, m, n_bins)
+            sm = np.bincount(flat_key, weights=w, minlength=size)[: k * width]
+            sm = sm.reshape(k, m, n_bins)
+            np.cumsum(cnt, axis=2, out=cnt)  # left counts per threshold
+            np.cumsum(sm, axis=2, out=sm)  # left sums
+            tot_cnt = count[frontier].astype(float)
+            tot_sum = np.bincount(slots, weights=y, minlength=k + 1)[:k]
+            rc = tot_cnt[:, None, None] - cnt
+            # The reference loop's expressions, in its order, with out=
+            # buffers.  Its max(·, 1) guards only change invalid cells.
+            with np.errstate(invalid="ignore", divide="ignore"):
+                gain = sm * sm
+                gain /= cnt
+                rs = np.subtract(tot_sum[:, None, None], sm, out=sm)
+                rs *= rs
+                rs /= rc
+                gain += rs
+                gain -= (tot_sum * tot_sum / tot_cnt)[:, None, None]
+            invalid = cnt < msl
+            invalid |= rc < msl
+            np.copyto(gain, -np.inf, where=invalid)
+            gain = gain.reshape(k, width)
+            # First max: lowest feature, then lowest bin, as the
+            # reference's strict ``>`` scan breaks ties.
+            best = np.argmax(gain, axis=1)
+            best_gain = gain[np.arange(k), best]
+            split = np.flatnonzero(best_gain > p.min_gain)
+            if not split.size:
+                break
+
+            parents = frontier[split]
+            at = best[split]
+            feat, thr = np.divmod(at, n_bins)
+            lid = np.arange(n_nodes, n_nodes + 2 * split.size, 2)
+            feature[parents] = feat
+            thresh[parents] = thr
+            left[parents] = lid
+            right[parents] = lid + 1
+            is_leaf[parents] = False
+            count[lid] = cnt.reshape(k, width)[split, at]
+            count[lid + 1] = count[parents] - count[lid]
+            self.split_gains_.update(
+                zip(parents.tolist(), best_gain[split].tolist())
+            )
+            n_nodes += 2 * split.size
+            frontier = np.arange(lid[0], n_nodes)
+
+            # Route the rows of split nodes to their children with one
+            # gather of each row's bin at its slot's split feature: a row
+            # moves by its slot's step to the left child, plus one if its
+            # bin is past the threshold.  Other slots step 0, and their
+            # threshold is past every bin.
+            slot_step = np.zeros(k + 1, dtype=np.intp)
+            slot_step[split] = lid - parents
+            slot_feat = np.zeros(k + 1, dtype=np.intp)
+            slot_feat[split] = feat
+            slot_thresh = np.full(k + 1, n_bins, dtype=np.intp)
+            slot_thresh[split] = thr
+            step = slot_step[slots]
+            step += flat[row_start + slot_feat[slots]] > slot_thresh[slots]
+            node_of += step
+
+        # Leaf values = mean target of the rows landing there; as in the
+        # reference, a split root keeps the target mean, other splits 0.
+        value = np.zeros(n_nodes)
+        value[0] = y.mean()
+        leaf = is_leaf[:n_nodes]
+        leaf_sum = np.bincount(node_of, weights=y, minlength=n_nodes)
+        value[leaf] = leaf_sum[leaf] / count[:n_nodes][leaf]
+        self._tree = _FlatTree(
+            feature=feature[:n_nodes].copy(),
+            threshold_bin=thresh[:n_nodes].copy(),
+            left=left[:n_nodes].copy(),
+            right=right[:n_nodes].copy(),
+            value=value,
+            is_leaf=leaf.copy(),
+        )
+        return node_of
+
+    def _grow_reference(self, X_binned, y, n_bins) -> np.ndarray:
+        """The original level loop over the per-feature split search."""
+        n, m = X_binned.shape
         p = self.params
 
         # Growing arrays (python lists; appended per created node).
@@ -244,34 +427,13 @@ class RegressionTree:
         thresh: list[int] = [-1]
         left: list[int] = [-1]
         right: list[int] = [-1]
-        value: list[float] = [float(y.mean()) if n else 0.0]
+        value: list[float] = [float(y.mean())]
         is_leaf: list[bool] = [True]
-
-        if n == 0 or n_bins < 2:
-            # No data, or every feature landed in a single bin: stump.
-            self._finalize(feature, thresh, left, right, value, is_leaf)
-            return self
-
-        if mode == "fast" and base is None:
-            base = X_binned.astype(np.int64) + np.arange(m, dtype=np.int64) * n_bins
 
         node_of = np.zeros(n, dtype=np.int64)
         frontier = [0]  # node ids eligible for splitting at current depth
 
         for _depth in range(p.max_depth):
-            if mode == "fast" and frontier:
-                # Nodes with fewer than 2*min_samples_leaf rows can never
-                # satisfy a valid split (both children need min_samples_leaf),
-                # so the reference loop scores them all -inf.  Skipping their
-                # histograms entirely yields the identical tree for free.
-                node_counts = np.bincount(node_of, minlength=len(value))
-                frontier = [
-                    nid
-                    for nid in frontier
-                    if node_counts[nid] >= 2 * p.min_samples_leaf
-                ]
-            if not frontier:
-                break
             frontier_arr = np.asarray(frontier)
             # Map node id -> dense slot for this level.
             slot_of = np.full(len(value), -1, dtype=np.int64)
@@ -284,16 +446,10 @@ class RegressionTree:
             tot_cnt = np.bincount(act_slots, minlength=k).astype(float)
             tot_sum = np.bincount(act_slots, weights=act_y, minlength=k)
 
-            if mode == "fast":
-                best_gain, best_feat, best_bin = self._best_splits_fast(
-                    base, active, act_slots, act_y, k, m, n_bins,
-                    tot_cnt, tot_sum,
-                )
-            else:
-                best_gain, best_feat, best_bin = self._best_splits_reference(
-                    X_binned, active, act_slots, act_y, k, m, n_bins,
-                    tot_cnt, tot_sum,
-                )
+            best_gain, best_feat, best_bin = self._best_splits_reference(
+                X_binned, active, act_slots, act_y, k, m, n_bins,
+                tot_cnt, tot_sum,
+            )
 
             # Create children for nodes with a worthwhile split.
             split_mask = best_gain > p.min_gain
@@ -339,52 +495,7 @@ class RegressionTree:
             if is_leaf[nid] and leaf_cnt[nid] > 0:
                 value[nid] = leaf_sum[nid] / leaf_cnt[nid]
         self._finalize(feature, thresh, left, right, value, is_leaf)
-        return self
-
-    def _best_splits_fast(
-        self, base, active, act_slots, act_y, k, m, n_bins, tot_cnt, tot_sum
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One fused histogram pass for every (node, feature) of a level.
-
-        Keys ``slot * (m * n_bins) + f * n_bins + bin`` feed a single
-        ``np.bincount`` per statistic; within each (slot, feature, bin)
-        cell the accumulation visits rows in the same order as the
-        reference per-feature loop, so the sums are bit-identical.  The
-        flat argmax breaks gain ties exactly like the reference's strict
-        ``>`` scan: lowest feature first, then lowest bin.
-        """
-        p = self.params
-        key = base[active]  # fresh copy — safe to offset in place
-        key += (act_slots * (m * n_bins))[:, None]
-        key = key.ravel()
-        minlength = k * m * n_bins
-        cnt = np.bincount(key, minlength=minlength).reshape(k, m, n_bins)
-        sm = np.bincount(
-            key, weights=np.repeat(act_y, m), minlength=minlength
-        ).reshape(k, m, n_bins)
-        np.cumsum(cnt, axis=2, out=cnt)
-        np.cumsum(sm, axis=2, out=sm)
-        lc = cnt[:, :, :-1]  # left counts per threshold
-        ls = sm[:, :, :-1]
-        rc = tot_cnt[:, None, None] - lc
-        rs = tot_sum[:, None, None] - ls
-        valid = (lc >= p.min_samples_leaf) & (rc >= p.min_samples_leaf)
-        # Same expressions and evaluation order as the reference loop,
-        # rewritten with out= buffers so each level allocates O(1) large
-        # temporaries instead of ~a dozen.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gain = ls * ls
-            gain /= np.maximum(lc, 1)
-            rhs = rs * rs
-            rhs /= np.maximum(rc, 1)
-            gain += rhs
-            gain -= (tot_sum * tot_sum / np.maximum(tot_cnt, 1))[:, None, None]
-        np.logical_not(valid, out=valid)
-        gain[valid] = -np.inf
-        flat = gain.reshape(k, m * (n_bins - 1))
-        best_idx = np.argmax(flat, axis=1)
-        best_gain = flat[np.arange(k), best_idx]
-        return best_gain, best_idx // (n_bins - 1), best_idx % (n_bins - 1)
+        return node_of
 
     def _best_splits_reference(
         self, X_binned, active, act_slots, act_y, k, m, n_bins, tot_cnt, tot_sum

@@ -97,6 +97,14 @@ __all__ = [
 #: estimator (lam=1.0, no GBDT), 3 = FIFO passthrough.
 QSSF_LADDER = ("as-configured", "scratch-refits", "rolling-only", "fifo-passthrough")
 
+#: the obs histogram each event kind's per-batch serving time goes to
+_PHASE_HISTS = {
+    SUBMIT: "serve.phase.submit_s",
+    FINISH: "serve.phase.finish_s",
+    NODE_SAMPLE: "serve.phase.node_sample_s",
+    NODE_FAIL: "serve.phase.node_fail_s",
+}
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -696,21 +704,13 @@ class ServingSession:
         self._jobs_table = stream.jobs
 
         # One hoisted enabled-check: the per-batch cost of disabled obs
-        # is the two ``phase_hists is not None`` branches below.  Phase
+        # is the two ``phase_buf is not None`` branches below.  Phase
         # timings buffer into small per-kind lists and flush through the
         # vectorized ``record_many`` — a scalar ``Histogram.record`` per
         # batch would alone eat most of the 2% overhead budget.
-        self._phase_hists = None
+        self._phase_buf: dict[int, list[float]] | None = None
         if obs.is_enabled():
-            self._phase_hists = {
-                SUBMIT: obs.histogram("serve.phase.submit_s"),
-                FINISH: obs.histogram("serve.phase.finish_s"),
-                NODE_SAMPLE: obs.histogram("serve.phase.node_sample_s"),
-                NODE_FAIL: obs.histogram("serve.phase.node_fail_s"),
-            }
-            self._phase_buf: dict[int, list[float]] = {
-                k: [] for k in self._phase_hists
-            }
+            self._phase_buf = {k: [] for k in _PHASE_HISTS}
             self._phase_pending = 0
         self._span_t0 = obs.wall_now()
         self._t_start = time.perf_counter()
@@ -734,7 +734,7 @@ class ServingSession:
             )
         server = self.server
         cfg = server.config
-        if self._phase_hists is not None:
+        if self._phase_buf is not None:
             t_batch = time.perf_counter()
         state["counts"][batch.kind] += len(batch)
         if batch.kind == SUBMIT:
@@ -785,7 +785,7 @@ class ServingSession:
         else:  # NODE_SAMPLE
             server._serve_node_samples(self.stream, batch, self._ces_hist)
         state["cursor"] = bi + 1
-        if self._phase_hists is not None:
+        if self._phase_buf is not None:
             self._phase_buf[batch.kind].append(time.perf_counter() - t_batch)
             self._phase_pending += 1
             if self._phase_pending >= 1024:  # bounded buffer, batched flush
@@ -797,7 +797,7 @@ class ServingSession:
         ):
             t_ckpt = time.perf_counter()
             self._checkpoint_sink(self.checkpoint())
-            if self._phase_hists is not None:
+            if self._phase_buf is not None:
                 obs.histogram("serve.checkpoint_s").record(
                     time.perf_counter() - t_ckpt
                 )
@@ -810,9 +810,13 @@ class ServingSession:
         return self.server._snapshot(self.stream, self.state)
 
     def _flush_phases(self) -> None:
+        # Looked up at each flush: a net worker drains its obs state into
+        # the report of each shard it finishes, so a handle taken when
+        # this session opened may belong to a report already sent.
         for kind, pending in self._phase_buf.items():
+            hist = obs.histogram(_PHASE_HISTS[kind])
             if pending:
-                self._phase_hists[kind].record_many(pending)
+                hist.record_many(pending)
                 pending.clear()
         self._phase_pending = 0
 
@@ -822,7 +826,7 @@ class ServingSession:
         server = self.server
         state = self.state
         wall = time.perf_counter() - self._t_start
-        if self._phase_hists is not None:
+        if self._phase_buf is not None:
             self._flush_phases()
 
         counts = state["counts"]
@@ -890,7 +894,7 @@ class ServingSession:
             qssf_hist=self._qssf_hist,
             ces_hist=self._ces_hist,
         )
-        if self._phase_hists is not None:
+        if self._phase_buf is not None:
             server._publish_obs(state, report)
             obs.record_span(
                 "serve.run", self._span_t0, obs.wall_now(),

@@ -1,11 +1,12 @@
 """Tests for the GBDT regressor."""
 
+import dataclasses
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.ml import GBDTParams, GBDTRegressor
@@ -168,6 +169,7 @@ class TestModes:
         ref = GBDTRegressor(params, mode="reference").fit(X, y)
         np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
         assert fast.staged_mse() == ref.staged_mse()
+        assert fast._pred_train.tobytes() == ref._pred_train.tobytes()
         np.testing.assert_array_equal(
             fast.feature_importances(), ref.feature_importances()
         )
@@ -183,6 +185,96 @@ class TestModes:
         )
         assert fast.best_iteration_ == ref.best_iteration_
         np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        how=st.sampled_from(["fit", "subsample", "early_stopped", "fit_more",
+                             "pickled_fit_more"]),
+        n_rows=st.integers(1, 300),
+        max_bins=st.sampled_from([2, 3, 16, 256]),
+        min_samples_leaf=st.sampled_from([1, 2, 5, 40]),
+        max_depth=st.integers(1, 6),
+    )
+    def test_generated_models_are_byte_identical(
+        self, seed, how, n_rows, max_bins, min_samples_leaf, max_depth
+    ):
+        """Fast growth (fused levels, training predictions from the
+        leaves rows reached) against the reference loop (per-feature
+        scan, training predictions from a walk): every tree array and
+        gain, the running training predictions and the scores match
+        byte for byte.  Inputs hold a constant column, a partly missing
+        one and a tied one; at ``min_samples_leaf=40`` a fit of fewer
+        than 80 rows is a stump, and larger ones leave rows outside
+        deeper frontiers."""
+        assume(how != "early_stopped" or n_rows >= 2)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n_rows, 4))
+        X[:, 1] = 2.0
+        X[rng.random(n_rows) < 0.2, 2] = np.nan
+        X[:, 3] = np.round(X[:, 3])
+        y = np.nan_to_num(X[:, 2]) ** 2 + X[:, 0] + rng.normal(size=n_rows)
+        params = GBDTParams(
+            n_estimators=int(rng.integers(1, 12)), max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf, max_bins=max_bins,
+            subsample=0.7 if how == "subsample" else 1.0,
+            early_stopping_rounds=2 if how == "early_stopped" else None,
+            random_state=seed % 1000,
+        )
+        fast, ref = (
+            _fit_as(GBDTRegressor(params, mode=mode), how, X, y)
+            for mode in ("fast", "reference")
+        )
+        assert len(fast.trees_) == len(ref.trees_)
+        for a, b in zip(fast.trees_, ref.trees_):
+            for x, z in zip(_node_arrays(a), _node_arrays(b)):
+                assert x.dtype == z.dtype and x.tobytes() == z.tobytes()
+            assert list(a.split_gains_.items()) == list(b.split_gains_.items())
+        assert fast._pred_train.tobytes() == ref._pred_train.tobytes()
+        assert fast.train_scores_ == ref.train_scores_
+        assert fast.valid_scores_ == ref.valid_scores_
+        assert fast.best_iteration_ == ref.best_iteration_
+
+    def test_pickles_keep_their_attribute_set(self, friedman):
+        """The leaves rows reach while a tree grows go to the boosting
+        loop and stay nowhere: a model and its trees pickle the
+        attributes they always did, and no tree holds a per-row array."""
+        X, y = friedman
+        model = GBDTRegressor(GBDTParams(n_estimators=5)).fit(X, y)
+        model.fit_more(X[:10], y[:10], 2)
+        assert list(model.__getstate__()) == [
+            "params", "mode", "binner_", "base_score_", "trees_",
+            "train_scores_", "valid_scores_", "best_iteration_",
+            "_Xb_train", "_y_train", "_pred_train", "_rng",
+        ]
+        for tree in pickle.loads(pickle.dumps(model)).trees_:
+            assert list(vars(tree)) == [
+                "params", "_tree", "n_features_", "split_gains_",
+            ]
+            assert [f.name for f in dataclasses.fields(tree._tree)] == [
+                "feature", "threshold_bin", "left", "right", "value", "is_leaf",
+            ]
+            assert max(a.size for a in _node_arrays(tree)) < 128
+
+
+def _node_arrays(tree):
+    t = tree._tree
+    return (t.feature, t.threshold_bin, t.left, t.right, t.value, t.is_leaf)
+
+
+def _fit_as(model, how, X, y):
+    """Fit ``model`` the way ``how`` names: plain, early-stopped on the
+    second half, or continued by ``fit_more`` (after a pickle round trip
+    for ``pickled_fit_more``)."""
+    if how == "early_stopped":
+        half = X.shape[0] // 2
+        return model.fit(X[:half], y[:half], eval_set=(X[half:], y[half:]))
+    model.fit(X, y)
+    if how == "pickled_fit_more":
+        model = pickle.loads(pickle.dumps(model))
+    if how in ("fit_more", "pickled_fit_more"):
+        model.fit_more(X[:7] + 0.5, y[:7] + 1.0, 3)
+    return model
 
 
 def _per_tree_sum(model, X, n_trees=None):

@@ -15,9 +15,10 @@ def _tree_arrays(tree):
 
 
 def _assert_same_tree(a, b):
+    """Byte-identical node arrays and the same gains in the same order."""
     for x, y in zip(_tree_arrays(a), _tree_arrays(b)):
-        np.testing.assert_array_equal(x, y)
-    assert a.split_gains_ == b.split_gains_
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert list(a.split_gains_.items()) == list(b.split_gains_.items())
 
 
 class TestBinner:
@@ -193,29 +194,57 @@ class TestFastReferenceParity:
     def test_seeded_fuzz_parity(self, seed):
         """Fuzz matrices engineered to produce gain ties (quantized and
         duplicated columns): ties must break identically — lowest
-        feature, then lowest bin."""
+        feature, then lowest bin.  Constant and partly missing columns,
+        two-bin binners and leaves of one row ride along, and growth's
+        own training predictions must equal a walk of the tree."""
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(30, 250))
+        n = int(rng.integers(1, 250))
         m = int(rng.integers(2, 8))
         X = rng.normal(size=(n, m))
         X[:, 0] = np.round(X[:, 0])  # coarse grid: repeated gain values
-        if m >= 2:
-            X[:, 1] = X[:, 0]  # duplicated column: cross-feature ties
+        X[:, 1] = X[:, 0]  # duplicated column: cross-feature ties
+        if m >= 3:
+            X[:, 2] = 1.5  # constant column
+        if m >= 4:
+            X[rng.random(n) < 0.3, 3] = np.nan  # missing values
         y = np.round(rng.normal(size=n), 1)
-        b = Binner(max_bins=int(rng.integers(4, 32))).fit(X)
+        b = Binner(max_bins=int(rng.integers(2, 32))).fit(X)
         Xb = b.transform(X)
         p = TreeParams(
-            max_depth=int(rng.integers(2, 6)),
+            max_depth=int(rng.integers(1, 6)),
             min_samples_leaf=int(rng.integers(1, 8)),
         )
         ref = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins, mode="reference")
         fast = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins, mode="fast")
-        cached = RegressionTree(p).fit(
+        cached = RegressionTree(p)
+        grown = cached.fit_predict(
             Xb, y, n_bins=b.n_bins, mode="fast",
             cache=HistogramCache(Xb, b.n_bins),
         )
         _assert_same_tree(ref, fast)
         _assert_same_tree(ref, cached)
+        assert grown.tobytes() == ref.predict_binned(Xb).tobytes()
+
+    def test_levels_with_and_without_rows_outside_the_frontier(self):
+        """Level 1 keys every row into a frontier slot.  At level 2 the
+        six rows of a leaf too small to split (fewer than
+        2·min_samples_leaf) sit outside the frontier, and must neither
+        count in a histogram nor move while the others are routed."""
+        x = np.arange(120, dtype=float)
+        y = 10.0 * (x >= 30) + 1.0 * (x >= 6) + 1.0 * (x >= 75) + 0.3 * (x >= 100)
+        b = Binner().fit(x[:, None])
+        Xb = b.transform(x[:, None])
+        p = TreeParams(max_depth=4, min_samples_leaf=5)
+        ref = RegressionTree(p).fit(Xb, y, n_bins=b.n_bins, mode="reference")
+        fast = RegressionTree(p)
+        grown = fast.fit_predict(Xb, y, n_bins=b.n_bins)
+        _assert_same_tree(ref, fast)
+        assert grown.tobytes() == ref.predict_binned(Xb).tobytes()
+        # root: 30 | 90 rows; then 6 | 24 and 45 | 45; then 25 | 20.
+        t = fast._tree
+        assert fast.depth == 3 and fast.n_leaves == 5
+        assert t.is_leaf[t.left[t.left[0]]]
+        assert np.count_nonzero(grown == grown[0]) == 6
 
     def test_parity_with_sample_indices(self):
         rng = np.random.default_rng(11)

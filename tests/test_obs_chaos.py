@@ -130,3 +130,26 @@ class TestInProcessFallbackParity:
         assert inproc.pop("serve.checkpoints", 0) == 0
         assert forked == inproc
         assert report_forked.parity_bytes() == report_inproc.parity_bytes()
+
+
+@needs_fork
+class TestTwoShardsOneWorker:
+    def test_phase_timings_cover_every_batch(self):
+        """One worker serves two shards at once and drains its obs state
+        into the first shard's report when that shard finishes: the
+        second shard's phase timings must still reach the trace, one
+        per served batch."""
+        from repro.experiments.serving import smoke_serve_config
+
+        obs.enable()
+        serve_clusters_net(
+            ["Venus", "Earth"], smoke_serve_config(), history_days=14,
+            stream_days=1.0, max_jobs=300, net=FAST_NET,
+        )
+        snap = obs.snapshot()
+        phases = sum(
+            h.count for name, h in snap.histograms.items()
+            if name.startswith("serve.phase.")
+        )
+        assert snap.counters["serve.batches"] > 0
+        assert phases == snap.counters["serve.batches"]
